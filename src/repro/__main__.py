@@ -90,6 +90,7 @@ import sys
 from repro.experiments import faults, fig2, fig4b, fig5, fig6, fig7, fig8, fig9, sec5d
 from repro.experiments.runner import POLICIES, PRESETS, Cell, ExperimentContext
 from repro.obs import Recorder, diff_rows, read_trace, summarize, summary_rows
+from repro.obs.recorder import profile_rows
 from repro.sim.kernels import BACKENDS
 from repro.sim.metrics import SimulationReport
 from repro.util import render_table
@@ -177,9 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="numpy",
         choices=sorted(BACKENDS),
         help="engine kernel backend (default: numpy). 'python' is the "
-        "pure-python reference, 'numba' JIT-compiles the keyed scans "
-        "and falls back to numpy with a warning when numba is not "
-        "installed; all backends produce bit-identical reports",
+        "pure-python reference; both backends produce bit-identical reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -587,7 +586,7 @@ def cmd_trace(context: ExperimentContext, args) -> None:
             title=f"trace of {args.workload} under {args.policy} -> {args.out}",
         )
     )
-    profile = recorder.profiler.summary()[:8]
+    profile = profile_rows(recorder.tracer)[:8]
     if profile:
         print(
             render_table(

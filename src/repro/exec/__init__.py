@@ -8,7 +8,8 @@ Public surface:
   single-builder locking.
 * :mod:`repro.exec.parallel` — supervised worker-pool execution
   (retry/timeout/backoff, poison-list quarantine).
-* :mod:`repro.exec.checkpoint` — append-only sweep manifests (resume).
+* :mod:`repro.exec.journal` — the fsync'd append-only JSONL journal
+  behind sweep manifests (:mod:`repro.exec.checkpoint`) and serve resume.
 * :mod:`repro.exec.bench` — the ``python -m repro bench`` harness.
 """
 

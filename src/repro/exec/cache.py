@@ -35,6 +35,7 @@ import enum
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -226,6 +227,21 @@ class _CorruptEntry(Exception):
     """Internal: an entry that was read but failed validation."""
 
 
+def _quarantine(root: Path, entry: Path) -> bool:
+    """Move a corrupt cache entry (file or directory) into
+    ``root/quarantine``, replacing an earlier one of the same name.
+    Returns whether it moved."""
+    target = root / "quarantine" / entry.name
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if target.is_dir():
+            shutil.rmtree(target)
+        os.replace(entry, target)
+    except OSError:
+        return False
+    return True
+
+
 class ReportCache:
     """One checksummed JSON file per simulation cell, written atomically.
 
@@ -246,15 +262,6 @@ class ReportCache:
 
     def _path(self, key: str) -> Path:
         return self.root / "reports" / key[:2] / f"{key}.json"
-
-    def _quarantine(self, path: Path) -> None:
-        qdir = self.root / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-        except OSError:
-            return
-        self.quarantined += 1
 
     def get(self, key: str) -> SimulationReport | None:
         with current().span("cache.report_load", cat="io"):
@@ -290,7 +297,7 @@ class ReportCache:
             except (ValueError, KeyError, TypeError) as exc:
                 raise _CorruptEntry("report failed to parse") from exc
         except _CorruptEntry:
-            self._quarantine(path)
+            self.quarantined += _quarantine(self.root, path)
             self.misses += 1
             return None
         self.hits += 1

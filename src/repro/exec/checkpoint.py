@@ -1,36 +1,28 @@
 """Append-only sweep checkpoints: resume an interrupted ``run_many``.
 
-A :class:`SweepManifest` is one JSONL file journaling every cell a sweep
-has finished — ``done`` cells by content-addressed key, ``poisoned``
-cells with the captured failure.  Each line is flushed and fsync'd as it
-is appended, so a suite killed mid-flight (``SIGINT``, ``kill -9``, OOM)
-leaves a readable journal of everything it completed; re-running with
-the same manifest (the CLI's ``--resume``) skips journaled cells —
-``done`` reports are served from the persistent report cache, and
-previously-poisoned cells are not burned through their retry budget
-again.
-
-Format (one JSON object per line)::
+A :class:`SweepManifest` journals every cell a sweep has finished —
+``done`` cells by content-addressed key, ``poisoned`` cells with the
+captured failure — to an :class:`~repro.exec.journal.AppendJournal`, so
+a suite killed mid-flight leaves a record of everything it completed.
+Re-running with the same manifest (the CLI's ``--resume``) serves
+``done`` cells from the report cache and does not burn poisoned cells
+through their retry budget again::
 
     {"kind": "header", "schema": 1, "stamp": "<code stamp>"}
     {"kind": "cell", "status": "done", "key": "<sha256>", ...metadata}
     {"kind": "cell", "status": "poisoned", "key": "...", "failure": ...,
      "attempts": N, "error": "<traceback tail>", ...metadata}
 
-The header pins :func:`repro.exec.cache.code_stamp`: a manifest written
-by different simulator code describes different results, so a stale
-journal is rotated aside (``<path>.stale``) and the sweep starts fresh
-rather than silently skipping cells that would now compute differently.
-A torn final line (crash mid-append) is tolerated: parsing stops at the
-first undecodable line.  A later ``done`` entry for a poisoned key
-overrides the poisoning (a quarantined cell that was fixed and re-run).
+The header pins :func:`repro.exec.cache.code_stamp`: different simulator
+code computes different results, so its manifest is rotated aside.  A
+later ``done`` entry for a poisoned key overrides the poisoning.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
+
+from repro.exec.journal import AppendJournal
 
 MANIFEST_SCHEMA = 1
 
@@ -43,50 +35,14 @@ class SweepManifest:
             from repro.exec.cache import code_stamp
 
             stamp = code_stamp()
-        self.path = Path(path)
         self.stamp = stamp
+        self._journal = AppendJournal(
+            path, {"schema": MANIFEST_SCHEMA, "stamp": stamp}
+        )
+        self.path = self._journal.path
         self._done: set[str] = set()
         self._poisoned: dict[str, dict] = {}
-        self._fh = None
-        self._load()
-
-    # -- reading -------------------------------------------------------
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        stale = False
-        records: list[dict] = []
-        for i, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail from a crash mid-append; keep the prefix
-            if not isinstance(record, dict):
-                break
-            if i == 0:
-                if (
-                    record.get("kind") != "header"
-                    or record.get("schema") != MANIFEST_SCHEMA
-                    or record.get("stamp") != self.stamp
-                ):
-                    stale = True
-                    break
-                continue
-            records.append(record)
-        if stale:
-            try:
-                os.replace(
-                    self.path, self.path.with_name(self.path.name + ".stale")
-                )
-            except OSError:
-                pass
-            return
-        for record in records:
+        for record in self._journal.read():
             if record.get("kind") != "cell" or "key" not in record:
                 continue
             key = record["key"]
@@ -114,30 +70,12 @@ class SweepManifest:
     def poisoned_count(self) -> int:
         return len(self._poisoned)
 
-    # -- writing -------------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._fh = open(self.path, "a", encoding="utf-8")
-            if fresh:
-                header = {
-                    "kind": "header",
-                    "schema": MANIFEST_SCHEMA,
-                    "stamp": self.stamp,
-                }
-                self._fh.write(json.dumps(header) + "\n")
-        self._fh.write(json.dumps(record) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def journal_done(self, key: str, **meta) -> None:
         if key in self._done:
             return
         self._done.add(key)
         self._poisoned.pop(key, None)
-        self._append({"kind": "cell", "status": "done", "key": key, **meta})
+        self._journal.append({"kind": "cell", "status": "done", "key": key, **meta})
 
     def journal_poisoned(
         self, key: str, failure: str, attempts: int, error: str, **meta
@@ -152,9 +90,7 @@ class SweepManifest:
             **meta,
         }
         self._poisoned[key] = record
-        self._append(record)
+        self._journal.append(record)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._journal.close()

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.stream import StreamConfig, StreamKind, StreamTable
-from repro.exec.cache import _canonical, code_stamp, fsync_dir
+from repro.exec.cache import _canonical, _quarantine, code_stamp, fsync_dir
 from repro.obs.tracing import current
 from repro.workloads.trace import Trace, Workload
 
@@ -142,18 +142,6 @@ class TraceCache:
     def _lock_path(self, key: str) -> Path:
         return self.root / "locks" / f"{key}.lock"
 
-    def _quarantine(self, entry: Path) -> None:
-        qdir = self.root / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            target = qdir / entry.name
-            if target.exists():
-                shutil.rmtree(target, ignore_errors=True)
-            os.replace(entry, target)
-        except OSError:
-            return
-        self.quarantined += 1
-
     def get(self, key: str, mmap: bool = True) -> Workload | None:
         with current().span("cache.trace_load", cat="io"):
             return self._get(key, mmap=mmap)
@@ -197,7 +185,7 @@ class TraceCache:
                 phases=[(pos, label) for pos, label in meta["phases"]],
             )
         except (OSError, ValueError, KeyError, TypeError):
-            self._quarantine(entry)
+            self.quarantined += _quarantine(self.root, entry)
             self.misses += 1
             return None
         self.hits += 1

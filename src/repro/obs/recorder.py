@@ -7,7 +7,9 @@ A :class:`Recorder` collects three kinds of observations:
   injections, demotions.
 * **counters / gauges** — cheap named scalars folded into the trace
   footer (counters accumulate, gauges keep the last value).
-* **spans** — wall-clock self-profiling via :class:`SelfProfiler`.
+* **spans** — wall-clock self-profiling: a recorder span *is* a
+  :class:`~repro.obs.tracing.PerfTracer` span, so recorder and engine
+  phase spans share one set of exact aggregates.
 
 The default everywhere is :class:`NullRecorder`, whose methods are
 no-ops and whose ``enabled`` flag lets hot paths skip building payloads
@@ -26,7 +28,7 @@ import json
 import math
 from typing import Iterator
 
-from repro.obs.profiler import SelfProfiler
+from repro.obs.tracing import NULL_TRACER, PerfTracer
 
 # Schema history:
 #   1 — initial trace layout (header / events / counters / profile / footer).
@@ -58,19 +60,17 @@ def sanitize_json(obj):
     return obj
 
 
-class _NullSpan:
-    """Reusable do-nothing context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
+def profile_rows(tracer: PerfTracer) -> list[dict]:
+    """One row per span label — inclusive totals, slowest first."""
+    return [
+        {
+            "label": label,
+            "calls": agg.calls,
+            "total_s": agg.total_s,
+            "mean_us": agg.total_s / agg.calls * 1e6 if agg.calls else 0.0,
+        }
+        for label, agg in sorted(tracer.aggregates.items(), key=lambda kv: -kv[1].total_ns)
+    ]
 
 
 class NullRecorder:
@@ -93,8 +93,8 @@ class NullRecorder:
     def gauge(self, name: str, value: float) -> None:
         pass
 
-    def span(self, label: str) -> _NullSpan:
-        return _NULL_SPAN
+    def span(self, label: str):
+        return NULL_TRACER.span(label)
 
 
 class Recorder(NullRecorder):
@@ -107,9 +107,9 @@ class Recorder(NullRecorder):
         self.events: list[dict] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        # Span timing is delegated to a PerfTracer; passing a shared one
-        # merges recorder spans into an ambient perf trace (profile verb).
-        self.profiler = SelfProfiler(tracer=tracer)
+        # Passing a shared tracer merges recorder spans into an ambient
+        # perf trace (profile verb); the default keeps aggregates only.
+        self.tracer = tracer if tracer is not None else PerfTracer(keep_events=False)
         self._seq = 0
 
     # ------------------------------------------------------------------
@@ -127,7 +127,7 @@ class Recorder(NullRecorder):
         self.gauges[name] = value
 
     def span(self, label: str):
-        return self.profiler.span(label)
+        return self.tracer.span(label)
 
     def events_of(self, kind: str) -> list[dict]:
         return [e for e in self.events if e["kind"] == kind]
@@ -144,7 +144,7 @@ class Recorder(NullRecorder):
             yield {"kind": "counters", "values": dict(self.counters)}
         if self.gauges:
             yield {"kind": "gauges", "values": dict(self.gauges)}
-        for row in self.profiler.summary():
+        for row in profile_rows(self.tracer):
             yield {"kind": "profile", **row}
         yield {"kind": "footer", "events": len(self.events)}
 

@@ -1,5 +1,6 @@
-"""Tests for the recorder, null recorder, and self-profiler."""
+"""Tests for the recorder, the null recorder, and their span profile."""
 
+import itertools
 import json
 import math
 
@@ -8,10 +9,11 @@ import pytest
 from repro.obs import (
     SCHEMA_VERSION,
     NullRecorder,
+    PerfTracer,
     Recorder,
-    SelfProfiler,
     read_trace,
     sanitize_json,
+    summarize,
 )
 
 
@@ -64,9 +66,34 @@ class TestRecorder:
             pass
         with rec.span("work"):
             pass
-        stats = rec.profiler.spans["work"]
+        stats = rec.tracer.aggregates["work"]
         assert stats.calls == 2
         assert stats.total_s >= 0.0
+
+    def test_profile_rows_are_slowest_first_with_inclusive_totals(self, tmp_path):
+        # Every clock read advances 1 ms: each leaf span lasts 1 ms, and
+        # "outer" includes its two children (5 ms inclusive).
+        clock = itertools.count(0, 1_000_000).__next__
+        rec = Recorder(tracer=PerfTracer(keep_events=False, clock=clock))
+        with rec.span("outer"):
+            with rec.span("inner"):
+                pass
+            with rec.span("inner"):
+                pass
+        with rec.span("fast"):
+            pass
+        path = tmp_path / "t.jsonl"
+        rec.write_jsonl(str(path))
+        rows = read_trace(str(path)).profile
+        assert [list(row) for row in rows] == [
+            ["kind", "label", "calls", "total_s", "mean_us"]
+        ] * 3
+        assert [(r["label"], r["calls"], r["total_s"]) for r in rows] == [
+            ("outer", 1, 0.005),
+            ("inner", 2, 0.002),
+            ("fast", 1, 0.001),
+        ]
+        assert rows[1]["mean_us"] == pytest.approx(1000.0)
 
     def test_jsonl_layout(self, tmp_path):
         rec = Recorder(workload="pr", policy="ndpext")
@@ -179,24 +206,32 @@ class TestReadTrace:
         with pytest.raises(ValueError, match="truncated"):
             read_trace(str(path))
 
+    def test_reads_profile_lines_of_an_earlier_recorder(self, tmp_path):
+        """A trace written before recorder spans became tracer spans
+        still loads and summarizes (``repro stats`` on old traces)."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"kind": "header", "schema": 3, "workload": "pr", '
+            '"policy": "ndpext", "preset": "tiny"}\n'
+            '{"kind": "counters", "values": {"epochs": 3}}\n'
+            '{"kind": "profile", "label": "policy.process", "calls": 1, '
+            '"total_s": 0.00075, "mean_us": 750.0}\n'
+            '{"kind": "profile", "label": "engine.l1_filter", "calls": 2, '
+            '"total_s": 0.0005, "mean_us": 250.0}\n'
+            '{"kind": "footer", "events": 0}\n'
+        )
+        trace = read_trace(str(path))
+        assert [row["label"] for row in trace.profile] == [
+            "policy.process",
+            "engine.l1_filter",
+        ]
+        assert trace.profile[1]["calls"] == 2
+        summary = summarize(trace)
+        assert summary["workload"] == "pr"
+        assert summary["profile_s"] == pytest.approx(0.00125)
+
     def test_rejects_garbage_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "header", "schema": 1}\nnot json\n')
         with pytest.raises(ValueError, match="not valid JSON"):
             read_trace(str(path))
-
-
-class TestSelfProfiler:
-    def test_add_and_summary_order(self):
-        prof = SelfProfiler()
-        prof.add("slow", 2.0)
-        prof.add("fast", 0.5, calls=5)
-        summary = prof.summary()
-        assert summary[0]["label"] == "slow"
-        assert summary[1]["calls"] == 5
-        assert prof.total_s == pytest.approx(2.5)
-
-    def test_mean(self):
-        prof = SelfProfiler()
-        prof.add("x", 4.0, calls=2)
-        assert prof.spans["x"].mean_s == pytest.approx(2.0)
