@@ -1,15 +1,13 @@
-"""Benchmarks for the execution layer itself: cache round-trips and the
-grouped L1 filter against the legacy per-core loop.
+"""Benchmarks for the execution layer itself: the persistent report
+cache round-trip.
 
 These complement the figure benchmarks: they time the infrastructure
 (``repro.exec``) rather than the experiments that ride on it.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import NdpExtPolicy
-from repro.exec.bench import _grouped_l1_filter, _legacy_l1_filter
 from repro.exec.cache import ReportCache, cell_key
 from repro.sim import SimulationEngine, small
 from repro.workloads import SMALL, build
@@ -20,11 +18,11 @@ def cell():
     config = small()
     workload = build("pr", SMALL)
     report = SimulationEngine(config).run(workload, NdpExtPolicy())
-    return config, workload, report
+    return config, report
 
 
 def test_report_cache_round_trip(benchmark, tmp_path, cell):
-    config, _workload, report = cell
+    config, report = cell
     cache = ReportCache(tmp_path)
     key = cell_key("pr", "ndpext", config, SMALL)
     cache.put(key, report)
@@ -32,21 +30,3 @@ def test_report_cache_round_trip(benchmark, tmp_path, cell):
     result = benchmark(cache.get, key)
     assert result is not None
     assert result.runtime_cycles == report.runtime_cycles
-
-
-def test_l1_filter_grouped(benchmark, cell):
-    config, workload, _report = cell
-    epochs = workload.trace.epochs(config.epoch_accesses)
-    masks = benchmark(
-        _grouped_l1_filter, epochs, config.core.l1d, SimulationEngine
-    )
-    assert sum(int(m.sum()) for m in masks) > 0
-
-
-def test_l1_filter_legacy_loop(benchmark, cell):
-    config, workload, _report = cell
-    epochs = workload.trace.epochs(config.epoch_accesses)
-    legacy = benchmark(_legacy_l1_filter, epochs, config.core.l1d)
-    grouped = _grouped_l1_filter(epochs, config.core.l1d, SimulationEngine)
-    for a, b in zip(legacy, grouped):
-        assert np.array_equal(a, b)

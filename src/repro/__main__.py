@@ -12,7 +12,6 @@ Usage::
     python -m repro trace --workload pr --policy ndpext --out trace.jsonl
     python -m repro stats trace.jsonl [other.jsonl]
     python -m repro dash trace.jsonl --out dash.html [--prom m.prom]
-    python -m repro bench [--quick] [--out BENCH.json] [--check PREV.json]
     python -m repro profile --workload pr --policy ndpext [--perf-out prof.json]
     python -m repro profile --suite --jobs 4 [--report-out bottleneck.json]
     python -m repro serve --workload pr [--storm] [--journal serve.jsonl]
@@ -28,8 +27,10 @@ MANIFEST`` journals completed cells so an interrupted sweep picks up
 exactly where it stopped.  Completed cells persist in a
 content-addressed disk cache (``REPRO_CACHE_DIR``, disable with
 ``REPRO_DISK_CACHE=0``), so repeated invocations skip simulation
-entirely.  ``bench`` measures engine throughput, parallel fan-out, and
-cache behaviour, writing a ``BENCH_<date>.json``.
+entirely.  The simulator's own speed is measured by the repository
+benchmark, not by a verb here: ``python3 perfbench/run.py --workload
+fig5_suite --seed 1 --seconds 30`` (workloads and bounds in
+``BENCHMARK.json``).
 
 ``figure`` accepts: fig2, fig4b, fig5, fig6, fig7, fig8a, fig8b,
 fig9a..fig9f, sec5d, faults.
@@ -48,9 +49,6 @@ self-contained HTML page: per-tier latency CDFs with exact percentiles,
 the per-unit served-request heatmap, the stack-to-stack link matrix,
 and the epoch timeline.  ``--prom``/``--json`` additionally export the
 same content in Prometheus text format / as a metrics JSON payload.
-``bench --check PREV.json`` compares the fresh bench against a previous
-one and warns on regressions beyond ``--check-threshold`` (default
-20%); ``--check-strict`` exits non-zero instead of warning.
 
 ``profile`` answers *where the simulator's own wall clock goes*: it
 runs one cell (or, with ``--suite``, a small grid fanned through the
@@ -116,18 +114,39 @@ FIGURES = {
 
 
 def _jobs_arg(value: str) -> int:
-    """``--jobs N`` or ``--jobs auto`` (resolved here so every consumer
-    downstream still sees a plain int)."""
+    """``--jobs N`` (N >= 1) or ``--jobs auto`` (resolved here so every
+    consumer downstream still sees a plain int)."""
     if value.strip().lower() == "auto":
         from repro.exec.parallel import auto_jobs
 
         return auto_jobs()
     try:
-        return int(value)
+        jobs = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--jobs expects an integer or 'auto', got {value!r}"
         ) from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"--jobs must be at least 1 (1 = serial), got {jobs}"
+        )
+    return jobs
+
+
+def _timeout_arg(value: str) -> float:
+    """``--timeout SECONDS``: a positive per-cell wall-clock limit (zero
+    or negative would kill every worker before its cell could start)."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--timeout expects a number of seconds, got {value!r}"
+        ) from None
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(
+            f"--timeout must be a positive number of seconds, got {value}"
+        )
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_arg,
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock limit; a hung worker is killed and the "
@@ -226,37 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument(
         "--csv", default=None, help="also export the epoch timeline as CSV"
-    )
-
-    bench_p = sub.add_parser(
-        "bench", help="benchmark engine throughput, parallel fan-out, caching"
-    )
-    bench_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny preset / reduced workload set (CI smoke run)",
-    )
-    bench_p.add_argument(
-        "--out",
-        default=None,
-        help="result JSON path (default: BENCH_<date>.json)",
-    )
-    bench_p.add_argument(
-        "--check",
-        default=None,
-        metavar="PREV.json",
-        help="compare against a previous bench file and flag regressions",
-    )
-    bench_p.add_argument(
-        "--check-threshold",
-        type=float,
-        default=None,
-        help="relative slowdown that counts as a regression (default: 0.20)",
-    )
-    bench_p.add_argument(
-        "--check-strict",
-        action="store_true",
-        help="exit non-zero on regressions instead of warning",
     )
 
     prof_p = sub.add_parser(
@@ -864,11 +852,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.dash import cmd_dash
 
         cmd_dash(args)
-        return 0
-    if args.command == "bench":
-        from repro.exec.bench import cmd_bench
-
-        cmd_bench(args)
         return 0
     if args.command == "profile":
         # Builds its own context *after* redirecting REPRO_CACHE_DIR,

@@ -10,7 +10,9 @@ Public surface:
   (retry/timeout/backoff, poison-list quarantine).
 * :mod:`repro.exec.journal` — the fsync'd append-only JSONL journal
   behind sweep manifests (:mod:`repro.exec.checkpoint`) and serve resume.
-* :mod:`repro.exec.bench` — the ``python -m repro bench`` harness.
+
+The layer's speed is measured by the repository benchmark
+(``python3 perfbench/run.py``, declared in ``BENCHMARK.json``).
 """
 
 from repro.exec.cache import (

@@ -216,7 +216,7 @@ def auto_jobs(cap: int = AUTO_JOBS_CAP) -> int:
 
     Leaves one CPU for the supervisor/OS on multi-core boxes, capped at
     ``cap``; single-CPU machines get one worker (serial — the pool
-    cannot win there, as the bench floors document).
+    cannot win there).
     """
     cpus = os.cpu_count() or 1
     if cpus <= 2:

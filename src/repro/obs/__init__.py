@@ -17,8 +17,7 @@ Layers (DESIGN.md "Observability" and "Distributional observability"):
   :mod:`repro.obs.perfreport`, imported directly to keep this package
   import-light.
 * Exporters — :func:`prometheus_text` / :func:`json_payload` over a
-  report, the ``dash`` HTML renderer, and the bench regression gate in
-  :mod:`repro.obs.regress`.
+  report, and the ``dash`` HTML renderer.
 
 ``read_trace`` / ``summarize`` / ``diff_rows`` are the read side used
 by ``python -m repro stats``; ``report_from_trace`` rebuilds a full

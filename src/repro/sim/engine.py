@@ -163,8 +163,8 @@ class EngineOptions:
 
     ``backend`` picks the kernel implementation for the exact hot-loop
     scans (see :mod:`repro.sim.kernels`): ``numpy`` (default) or
-    ``python`` (the slow reference the benchmark's ``kernel_speedup`` is
-    measured against).  Reports are bit-identical across backends.
+    ``python`` (the slow reference the identity tests diff against).
+    Reports are bit-identical across backends.
     """
 
     exact_l1: bool = False
@@ -207,7 +207,7 @@ class SimulationEngine:
 
     def _resolve_tracer(self):
         """Phase attribution target: the ambient perf tracer when one is
-        active (`profile` verb, traced bench), else the recorder's
+        active (`profile` verb), else the recorder's
         tracer so `trace` output keeps its span table, else the shared
         no-op.  Spans never touch simulation state, so outputs are
         bit-identical whichever target is live."""

@@ -8,7 +8,7 @@ two interchangeable implementations:
 
 * ``python`` — a straight-line pure-Python reference (dicts and loops).
   Slow on purpose: it is the semantic ground truth the fast backend is
-  pinned against, and the denominator of ``bench``'s ``kernel_speedup``.
+  pinned against.
 * ``numpy`` — the default.  Keyed scans are one stable ``argsort`` (radix
   sort for integer keys) plus adjacent-element compares; segment sums are
   one ``bincount`` per target array.

@@ -34,6 +34,38 @@ class TestParser:
         }
         assert set(FIGURES) == expected
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--timeout", "0"], "--timeout must be a positive"),
+            (["--timeout", "-5"], "--timeout must be a positive"),
+            (["--timeout", "nan"], "--timeout must be a positive"),
+            (["--timeout", "soon"], "--timeout expects a number"),
+            (["--jobs", "0"], "--jobs must be at least 1"),
+            (["--jobs", "-4"], "--jobs must be at least 1"),
+        ],
+    )
+    def test_rejects_bad_pool_limits(self, flags, message, capsys):
+        """A zero timeout would kill every worker on its first cell, and a
+        negative job count used to fall back to serial silently."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(flags + ["compare", "--workload", "pr"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_accepts_smallest_valid_pool_limits(self):
+        args = build_parser().parse_args(
+            ["--jobs", "1", "--timeout", "0.5", "compare", "--workload", "pr"]
+        )
+        assert (args.jobs, args.timeout) == (1, 0.5)
+
+    def test_bench_verb_is_gone(self, capsys):
+        """Benchmarking lives in perfbench/, not in a CLI verb."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run_command(self, capsys):
