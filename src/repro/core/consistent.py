@@ -25,28 +25,37 @@ class ConsistentRing:
     """A consistent-hash ring over (unit, row) spots for one stream.
 
     Each spot is placed at ``VIRTUAL_NODES`` pseudo-random ring positions
-    for load balance.  Lookups are fully vectorised.
+    for load balance.  Construction and lookups are fully vectorised.
     """
 
-    def __init__(self, spots: list[tuple[int, int]], salt: int = 0) -> None:
-        """``spots`` are (unit, row_index) pairs; ``salt`` decorrelates
-        rings of different streams."""
-        if not spots:
+    def __init__(
+        self, spots: np.ndarray | list[tuple[int, int]], salt: int = 0
+    ) -> None:
+        """``spots`` is an ``(n, 2)`` array (or a sequence) of
+        (unit, row_index) pairs; ``salt`` decorrelates rings of
+        different streams."""
+        spots = np.asarray(spots, dtype=np.int64).reshape(-1, 2)
+        if not len(spots):
             raise ValueError("a ring needs at least one spot")
-        self.spots = list(spots)
-        keys = []
-        owners = []
-        for index, (unit, row) in enumerate(self.spots):
-            base = mix64(((unit + 1) << 32) ^ row ^ mix64(salt))
-            for v in range(VIRTUAL_NODES):
-                keys.append(mix64(base + v))
-                owners.append(index)
-        order = np.argsort(np.array(keys, dtype=np.uint64))
-        self._positions = np.array(keys, dtype=np.uint64)[order]
-        self._owners = np.array(owners, dtype=np.int64)[order]
+        self._units = spots[:, 0].copy()
+        self._rows = spots[:, 1].copy()
+        # base = mix64(((unit + 1) << 32) ^ row ^ mix64(salt)) per spot,
+        # then one key per virtual node, spot-major / vnode-minor.
+        base = mix64_array(
+            ((self._units.astype(np.uint64) + np.uint64(1)) << np.uint64(32))
+            ^ self._rows.astype(np.uint64)
+            ^ np.uint64(mix64(salt))
+        )
+        keys = mix64_array(
+            base[:, None] + np.arange(VIRTUAL_NODES, dtype=np.uint64)
+        ).ravel()
+        order = np.argsort(keys)
+        self._positions = keys[order]
+        # Key k belongs to spot k // VIRTUAL_NODES.
+        self._owners = order // VIRTUAL_NODES
 
     def __len__(self) -> int:
-        return len(self.spots)
+        return len(self._units)
 
     def lookup(self, tags: np.ndarray) -> np.ndarray:
         """Map each tag to the index (into ``spots``) of its owning spot."""
@@ -56,20 +65,21 @@ class ConsistentRing:
         return self._owners[idx]
 
     def units_of(self, spot_indices: np.ndarray) -> np.ndarray:
-        units = np.array([u for u, _ in self.spots], dtype=np.int64)
-        return units[spot_indices]
+        return self._units[spot_indices]
 
     def rows_of(self, spot_indices: np.ndarray) -> np.ndarray:
-        rows = np.array([r for _, r in self.spots], dtype=np.int64)
-        return rows[spot_indices]
+        return self._rows[spot_indices]
 
 
-def spots_of_group(units: np.ndarray, shares: np.ndarray) -> list[tuple[int, int]]:
-    """Enumerate the (unit, row_index) spots of one replication group."""
-    spots: list[tuple[int, int]] = []
-    for unit, rows in zip(units, shares):
-        spots.extend((int(unit), r) for r in range(int(rows)))
-    return spots
+def spots_of_group(units: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """The ``(n, 2)`` (unit, row_index) spots of one replication group:
+    ``shares[i]`` rows ``0..shares[i]-1`` on ``units[i]``, in order.
+    Zero or negative shares contribute no spots."""
+    counts = np.maximum(np.asarray(shares, dtype=np.int64), 0)
+    unit_col = np.repeat(np.asarray(units, dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    row_col = np.arange(len(unit_col), dtype=np.int64) - np.repeat(starts, counts)
+    return np.column_stack((unit_col, row_col))
 
 
 def preserved_mask(

@@ -25,6 +25,7 @@ from repro.core.consistent import ConsistentRing, spots_of_group
 from repro.core.remap import NO_GROUP, RemapTable, StreamAllocation
 from repro.core.slb import StreamLookaheadBuffer
 from repro.core.stream import StreamConfig, StreamTable
+from repro.obs.tracing import current
 from repro.sim.cachesim import _prev_in_group, set_assoc_hits
 from repro.sim.engine import ReconfigStats, RequestOutcome
 from repro.sim.params import SystemConfig
@@ -223,11 +224,6 @@ class StreamCacheMapper:
             row_base = alloc.row_base[unit_sel]
             entries = shares * entries_per_row
             sets_per_unit = np.maximum(entries // max(1, ways), 0)
-            ring = None
-            if self.placement == "consistent":
-                spots = spots_of_group(unit_sel, shares)
-                if spots:
-                    ring = ConsistentRing(spots, salt=stream.sid)
             mapping.groups.append(
                 GroupMapping(
                     gid=gid,
@@ -235,7 +231,7 @@ class StreamCacheMapper:
                     shares=shares,
                     row_base=row_base,
                     sets_per_unit=sets_per_unit,
-                    ring=ring,
+                    ring=self._ring(unit_sel, shares, stream.sid),
                 )
             )
             group_of_unit[unit_sel] = g_index
@@ -251,6 +247,17 @@ class StreamCacheMapper:
                 group_of_unit[unit] = best
         mapping.group_of_unit = group_of_unit
         return mapping
+
+    def _ring(
+        self, units: np.ndarray, shares: np.ndarray, salt: int
+    ) -> ConsistentRing | None:
+        """The consistent-hash ring over a group's (unit, row) spots, or
+        None under plain hashing or when the group holds no rows."""
+        if self.placement != "consistent":
+            return None
+        with current().span("policy.mapper.ring_build"):
+            spots = spots_of_group(units, shares)
+            return ConsistentRing(spots, salt=salt) if len(spots) else None
 
     def apply(self, allocations: list[StreamAllocation]) -> ReconfigStats:
         """Install a new configuration; returns movement/invalidation stats."""
@@ -496,14 +503,7 @@ class StreamCacheMapper:
             sets_per_unit=np.maximum(
                 shares[order] * entries_per_row // max(1, mapping.ways), 0
             ),
-            ring=(
-                ConsistentRing(
-                    spots_of_group(units[order], shares[order]),
-                    salt=mapping.stream.sid,
-                )
-                if self.placement == "consistent" and shares.sum() > 0
-                else None
-            ),
+            ring=self._ring(units[order], shares[order], mapping.stream.sid),
         )
         mapping.groups = [merged]
         mapping.group_of_unit = np.zeros(self.config.n_units, dtype=np.int64)

@@ -13,7 +13,8 @@ The write side of :mod:`repro.obs.tracing`.  Three consumers:
   must reconstruct the simulated wall clock), I/O and pool span tables,
   per-worker utilization, the **pool critical path** (the longest chain
   of dependent task spans — the concrete explanation when N jobs fail
-  to beat serial), and a per-phase ``accesses/s`` attribution table.
+  to beat serial), peak resident memory, and a per-phase ``accesses/s``
+  attribution table.
 * :func:`render_bottleneck` — the same report as CLI text tables.
 
 Span taxonomy (by ``cat``): ``phase`` — engine/policy phases nested
@@ -25,6 +26,7 @@ scheduling; ``instant`` — zero-duration markers.
 from __future__ import annotations
 
 import json
+import resource
 from dataclasses import dataclass
 
 from repro.obs.tracing import ENGINE_PHASES, PerfTracer, SpanEvent
@@ -247,6 +249,14 @@ def worker_utilization(events: list[SpanEvent], process_labels: dict[int, str]) 
 # The bottleneck report.
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set of this process and of every waited-for child
+    (pool workers included), in MiB (``ru_maxrss`` is KiB on Linux)."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own, children) / 1024.0
+
+
 def bottleneck_report(tracer: PerfTracer, accesses: int | None = None) -> dict:
     """One JSON summary answering "where did the time go?".
 
@@ -286,6 +296,7 @@ def bottleneck_report(tracer: PerfTracer, accesses: int | None = None) -> dict:
             tracer.events, tracer.process_labels
         ),
         "dropped_events": tracer.dropped_events,
+        "peak_rss_mb": peak_rss_mb(),
     }
     if accesses:
         report["accesses"] = int(accesses)
@@ -333,7 +344,8 @@ def render_bottleneck(report: dict, top: int = 12) -> str:
             title=(
                 f"engine phases by exclusive time "
                 f"(sim wall {report['sim_wall_s']:.3f} s, "
-                f"coverage {report['coverage']:.1%})"
+                f"coverage {report['coverage']:.1%}, "
+                f"peak RSS {report['peak_rss_mb']:.1f} MB)"
             ),
         )
     )

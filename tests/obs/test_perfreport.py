@@ -202,6 +202,16 @@ class TestBottleneckReport:
         assert "(orchestration)" in text
         assert "accesses/s if alone" in text
 
+    def test_report_names_ring_build_and_peak_rss(self, traced_run):
+        tracer, _ = traced_run
+        prof = bottleneck_report(tracer)
+        # The ring build is its own phase, nested under the policy phase
+        # that installs a configuration, so coverage is unchanged.
+        assert prof["top_phases"]["policy.mapper.ring_build"]["calls"] > 0
+        assert prof["coverage"] == pytest.approx(1.0)
+        assert prof["peak_rss_mb"] > 0
+        assert f"peak RSS {prof['peak_rss_mb']:.1f} MB" in render_bottleneck(prof)
+
     def test_report_without_accesses_has_no_attribution(self, traced_run):
         tracer, _ = traced_run
         prof = bottleneck_report(tracer)
