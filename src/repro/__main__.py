@@ -9,7 +9,6 @@ Usage::
     python -m repro figure fig5 [--preset small] [--jobs 4]
     python -m repro suite [--preset small] [--jobs 4]
     python -m repro report [--output results.md]
-    python -m repro trace --workload pr --policy ndpext --out trace.jsonl
     python -m repro stats trace.jsonl [other.jsonl]
     python -m repro dash trace.jsonl --out dash.html [--prom m.prom]
     python -m repro profile --workload pr --policy ndpext [--perf-out prof.json]
@@ -35,14 +34,14 @@ fig5_suite --seed 1 --seconds 30`` (workloads and bounds in
 ``figure`` accepts: fig2, fig4b, fig5, fig6, fig7, fig8a, fig8b,
 fig9a..fig9f, sec5d, faults.
 
-``trace`` runs one simulation with a live recorder and writes a
-schema-versioned JSONL event trace (epoch timeline, reconfiguration
-decisions with predicted-vs-realized per-stream hit rates, sampled miss
-curves, fault events, and a wall-clock self-profile of the simulator).
-``stats`` summarizes one such trace, or diffs two.  ``--trace-out`` on
-``run`` writes the same trace alongside the result table; on
-``compare`` it is a prefix and one ``<prefix>.<policy>.jsonl`` file is
-written per policy.
+``--trace-out`` on ``run`` runs the simulation with a live recorder and
+writes a schema-versioned JSONL event trace alongside the result table
+(epoch timeline, reconfiguration decisions with predicted-vs-realized
+per-stream hit rates, sampled miss curves, fault events, and a
+wall-clock self-profile of the simulator); on ``compare`` it is a
+prefix and one ``<prefix>.<policy>.jsonl`` file is written per policy.
+``stats`` summarizes one such trace (``--csv`` exports its epoch
+timeline), or diffs two.
 
 ``dash`` renders a trace (or a ``--report-out`` JSON) into one
 self-contained HTML page: per-tier latency CDFs with exact percentiles,
@@ -57,7 +56,7 @@ warm, then writes a Chrome/Perfetto trace-event JSON (``--perf-out``,
 load it at https://ui.perfetto.dev) and prints a bottleneck report —
 engine phases ranked by exclusive time, cache I/O spans, the pool
 critical path, and per-worker utilization.  Do not confuse the two
-trace flags: ``--trace-out`` (on ``run``/``compare``/``trace``) is the
+trace flags: ``--trace-out`` (on ``run``/``compare``/``serve``) is the
 *semantic* JSONL event trace of the simulated system, consumed by
 ``stats`` and ``dash``; ``--perf-out`` is a *performance* trace of the
 simulator process itself, consumed by Perfetto.
@@ -88,7 +87,6 @@ import sys
 from repro.experiments import faults, fig2, fig4b, fig5, fig6, fig7, fig8, fig9, sec5d
 from repro.experiments.runner import POLICIES, PRESETS, Cell, ExperimentContext
 from repro.obs import Recorder, diff_rows, read_trace, summarize, summary_rows
-from repro.obs.recorder import profile_rows
 from repro.sim.kernels import BACKENDS
 from repro.sim.metrics import SimulationReport
 from repro.util import render_table
@@ -235,18 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default="results.md", help="report path (default: results.md)"
     )
 
-    trace_p = sub.add_parser(
-        "trace", help="run with full observability and write a JSONL trace"
-    )
-    trace_p.add_argument("--workload", required=True, choices=sorted(SUITE))
-    trace_p.add_argument("--policy", required=True, choices=sorted(POLICIES))
-    trace_p.add_argument(
-        "--out", default="trace.jsonl", help="trace path (default: trace.jsonl)"
-    )
-    trace_p.add_argument(
-        "--csv", default=None, help="also export the epoch timeline as CSV"
-    )
-
     prof_p = sub.add_parser(
         "profile",
         help="profile a cold run: Perfetto perf trace + bottleneck report",
@@ -276,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dash", help="render a trace or report JSON as a standalone HTML page"
     )
     dash_p.add_argument(
-        "input", help="JSONL trace (run/trace --trace-out) or report JSON"
+        "input", help="JSONL trace (run --trace-out) or report JSON"
     )
     dash_p.add_argument(
         "--out", default="dash.html", help="HTML path (default: dash.html)"
@@ -549,48 +535,6 @@ def cmd_report(context: ExperimentContext, args) -> None:
     with open(args.output, "w") as f:
         f.write(body)
     print(f"[report] wrote {args.output}")
-
-
-def cmd_trace(context: ExperimentContext, args) -> None:
-    recorder = _new_recorder(context, args.workload, args.policy)
-    report = context.run(args.workload, args.policy, recorder=recorder)
-    lines = recorder.write_jsonl(args.out)
-    if args.csv and report.timeline is not None:
-        report.timeline.to_csv(args.csv)
-        print(f"[trace] wrote {args.csv}")
-    timeline = report.timeline
-    rows = [
-        ["epochs", str(len(timeline) if timeline else 0)],
-        ["events", str(len(recorder.events))],
-        ["trace lines", str(lines)],
-        ["runtime cycles", f"{report.runtime_cycles:.0f}"],
-        ["cache hit rate", f"{report.hits.cache_hit_rate:.3f}"],
-        ["reconfig events", str(len(recorder.events_of('reconfig')))],
-    ]
-    print(
-        render_table(
-            ["metric", "value"],
-            rows,
-            title=f"trace of {args.workload} under {args.policy} -> {args.out}",
-        )
-    )
-    profile = profile_rows(recorder.tracer)[:8]
-    if profile:
-        print(
-            render_table(
-                ["span", "calls", "total s", "mean us"],
-                [
-                    [
-                        row["label"],
-                        str(row["calls"]),
-                        f"{row['total_s']:.3f}",
-                        f"{row['mean_us']:.1f}",
-                    ]
-                    for row in profile
-                ],
-                title="simulator self-profile (slowest spans)",
-            )
-        )
 
 
 def cmd_profile(args) -> None:
@@ -881,8 +825,6 @@ def main(argv: list[str] | None = None) -> int:
         fig5.run(context)
     elif args.command == "report":
         cmd_report(context, args)
-    elif args.command == "trace":
-        cmd_trace(context, args)
     return 0
 
 

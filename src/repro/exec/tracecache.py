@@ -13,9 +13,11 @@ Raw ``.npy`` — unlike the zipped ``.npz`` this replaces — can be loaded
 with ``mmap_mode="r"``, so a trace is materialized in page cache once
 and *shared read-only by every worker process* instead of being
 decompressed per worker.  Entries are published atomically (temp dir +
-``os.rename``) with the array files fsync'd first; a corrupt or
-truncated entry (size mismatch, undecodable metadata) is quarantined
-into ``<root>/quarantine/`` and rebuilt rather than crashing the run.
+``os.rename``) with the array files fsync'd first.  Every load checks
+each array file against its sha256; a corrupt or truncated entry
+(checksum mismatch, undecodable metadata) is quarantined into
+``<root>/quarantine/`` and rebuilt rather than crashing the run or
+serving wrong addresses.
 
 :meth:`TraceCache.get_or_build` adds the single-builder discipline for
 concurrent sweeps: an exclusive ``flock`` per key means exactly one
@@ -58,6 +60,15 @@ def workload_key(name: str, scale, stamp: str | None = None) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    """Hex sha256 of a file, read in chunks (no whole-file buffer)."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _stream_meta(stream: StreamConfig) -> dict:
@@ -164,9 +175,8 @@ class TraceCache:
             arrays = {}
             for name in _ARRAYS:
                 path = entry / f"{name}.npy"
-                expected = meta["arrays"][name]["file_bytes"]
-                if path.stat().st_size != expected:
-                    raise ValueError(f"{name}.npy truncated or oversized")
+                if _file_sha256(path) != meta["arrays"][name]["sha256"]:
+                    raise ValueError(f"{name}.npy does not match its checksum")
                 arrays[name] = np.load(
                     path, mmap_mode="r" if mmap else None, allow_pickle=False
                 )

@@ -82,6 +82,10 @@ SCALES: dict[str, WorkloadScale] = {
     "tiny": TINY,
 }
 
+# Entries in each context's in-process report LRU (in front of the disk
+# store).
+MAX_REPORTS = 512
+
 
 @dataclass
 class Cell:
@@ -108,7 +112,7 @@ class ExperimentContext:
 
     Reports live behind two cache layers keyed by the same
     content-addressed cell key (:func:`repro.exec.cache.cell_key`): a
-    bounded in-process LRU of ``max_reports`` entries, and — unless
+    bounded in-process LRU of ``MAX_REPORTS`` entries, and — unless
     ``REPRO_DISK_CACHE=0`` — the persistent on-disk store shared by all
     processes.  ``jobs`` sets the default fan-out width for
     :meth:`run_many` (the CLI's ``--jobs``); 1 means serial.
@@ -116,7 +120,6 @@ class ExperimentContext:
 
     preset: str = "small"
     jobs: int = 1
-    max_reports: int = 512
     max_retries: int = 2
     timeout_s: float | None = None
     manifest_path: str | None = None
@@ -237,7 +240,7 @@ class ExperimentContext:
         """Insert into the bounded in-process LRU."""
         self._reports[key] = report
         self._reports.move_to_end(key)
-        while len(self._reports) > self.max_reports:
+        while len(self._reports) > MAX_REPORTS:
             self._reports.popitem(last=False)
 
     def _lookup(

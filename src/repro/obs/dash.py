@@ -1,7 +1,7 @@
 """``python -m repro dash``: a self-contained HTML report for one run.
 
-Input is either a JSONL observability trace (``repro run --trace-out`` /
-``repro trace``) or a report JSON (``repro run --report-out``).  Output
+Input is either a JSONL observability trace (``repro run --trace-out``)
+or a report JSON (``repro run --report-out``).  Output
 is a single HTML file with no external assets or scripts: stat tiles,
 per-tier latency CDFs, the per-unit served-request heatmap, the
 stack-to-stack link-traffic matrix, and the epoch timeline — the

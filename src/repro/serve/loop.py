@@ -259,8 +259,8 @@ class ServeLoop:
         if self.journal is not None:
             self.journal.journal_done(batch.key, OUTCOME_COMPLETED)
         summary = (
-            self.engine.fault_state.health_summary()
-            if self.engine.fault_state is not None
+            self.session.fault_state.health_summary()
+            if self.session.fault_state is not None
             else None
         )
         self.health.observe(step.epoch, step.fault_events, summary)
@@ -304,8 +304,8 @@ class ServeLoop:
         engine-level report only exists once the session finishes.
         """
         summary = (
-            self.engine.fault_state.health_summary()
-            if self.engine.fault_state is not None
+            self.session.fault_state.health_summary()
+            if self.session.fault_state is not None
             else None
         )
         return ServeReport(
@@ -335,8 +335,8 @@ class ServeLoop:
         if self.journal is not None:
             self.journal.close()
         final_health = (
-            self.engine.fault_state.health_summary()
-            if self.engine.fault_state is not None
+            self.session.fault_state.health_summary()
+            if self.session.fault_state is not None
             else None
         )
         return ServeReport(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import NdpExtPolicy
 from repro.exec.parallel import CellTask, fork_available, run_cells
+from repro.experiments import runner
 from repro.experiments.runner import Cell, ExperimentContext
 from repro.sim import SimulationEngine, tiny
 from repro.workloads import TINY, build
@@ -122,8 +123,8 @@ class TestContextHygiene:
         assert context.cache_hits_disk == 1
         assert context.cache_misses == 0
 
-    def test_report_cache_is_bounded(self, context):
-        context.max_reports = 2
+    def test_report_cache_is_bounded(self, context, monkeypatch):
+        monkeypatch.setattr(runner, "MAX_REPORTS", 2)
         context.run("pr", "ndpext")
         context.run("pr", "nexus")
         context.run("pr", "jigsaw")

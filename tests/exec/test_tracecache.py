@@ -124,6 +124,25 @@ class TestTraceCache:
         assert_workloads_identical(expected, rebuilt)
         assert (cache.root / "quarantine" / key).exists()
 
+    def test_flipped_byte_is_quarantined_and_rebuilt(self, cache_dir):
+        """A same-size corruption fails the array checksum, so the entry
+        is quarantined as a miss and rebuilt, never served."""
+        workload = _build_uncached("pr", TINY)
+        cache = TraceCache(cache_dir)
+        key = workload_key("pr", TINY)
+        cache.put(key, workload)
+        path = cache._dir(key) / "addr.npy"
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        assert cache.get(key) is None
+        assert cache.quarantined == 1
+        assert cache.misses == 1
+        assert (cache.root / "quarantine" / key).exists()
+        rebuilt = cache.get_or_build(key, lambda: _build_uncached("pr", TINY))
+        assert cache.builds == 1
+        assert_workloads_identical(workload, rebuilt)
+
     def test_single_builder_under_concurrency(self, cache_dir, tmp_path):
         import multiprocessing
 

@@ -66,6 +66,13 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    def test_trace_verb_is_gone(self, capsys):
+        """A trace is ``run --trace-out`` followed by ``stats``."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["trace"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run_command(self, capsys):
@@ -107,13 +114,11 @@ class TestTraceCommands:
         trace_path = tmp_path / "trace.jsonl"
         csv_path = tmp_path / "timeline.csv"
         assert main([
-            "--preset", "tiny", "trace",
+            "--preset", "tiny", "run",
             "--workload", "pr", "--policy", "ndpext",
-            "--out", str(trace_path), "--csv", str(csv_path),
+            "--trace-out", str(trace_path),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "self-profile" in out
-        assert csv_path.exists()
+        capsys.readouterr()
 
         # Every line is valid JSON with the documented framing.
         lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
@@ -143,8 +148,10 @@ class TestTraceCommands:
             for s in e["streams"]
         )
 
-        assert main(["stats", str(trace_path)]) == 0
+        assert main(["stats", str(trace_path), "--csv", str(csv_path)]) == 0
         out = capsys.readouterr().out
+        assert "self-profile" in out
+        assert csv_path.exists()
         assert "cache_hit_rate" in out
         assert "mean_hit_prediction_error" in out
 
@@ -153,9 +160,9 @@ class TestTraceCommands:
         for policy in ("ndpext", "ndpext-static"):
             path = tmp_path / f"{policy}.jsonl"
             assert main([
-                "--preset", "tiny", "trace",
+                "--preset", "tiny", "run",
                 "--workload", "pr", "--policy", policy,
-                "--out", str(path),
+                "--trace-out", str(path),
             ]) == 0
             paths.append(str(path))
         capsys.readouterr()
@@ -167,9 +174,9 @@ class TestTraceCommands:
     def test_stats_rejects_three_traces(self, tmp_path):
         path = tmp_path / "t.jsonl"
         assert main([
-            "--preset", "tiny", "trace",
+            "--preset", "tiny", "run",
             "--workload", "pr", "--policy", "ndpext",
-            "--out", str(path),
+            "--trace-out", str(path),
         ]) == 0
         with pytest.raises(SystemExit):
             main(["stats", str(path), str(path), str(path)])

@@ -1,17 +1,20 @@
 """Tests for the simulation engine using stub policies."""
 
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 
+from repro.core import NdpExtPolicy
 from repro.core.stream import StreamTable, configure_stream
 from repro.sim.engine import (
     AFFINE_MLP,
     DramCachePolicy,
-    EngineOptions,
     RequestOutcome,
     SimulationEngine,
 )
 from repro.sim.params import tiny
+from repro.workloads import TINY, build
 from repro.workloads.trace import Trace, Workload
 
 
@@ -156,14 +159,30 @@ class TestEngineAccounting:
         # Same total work on the same 4 physical units: similar runtime.
         assert many.runtime_cycles == pytest.approx(few.runtime_cycles, rel=0.2)
 
-    def test_max_epochs_option(self):
-        config = tiny()
-        engine = SimulationEngine(config, EngineOptions(max_epochs=1))
-        report = engine.run(make_workload(n_accesses=20_000), AlwaysMiss())
-        assert report.hits.total_requests <= config.epoch_accesses
-
     def test_static_energy_tracks_runtime(self):
         config = tiny()
         fast = SimulationEngine(config).run(make_workload(), AlwaysLocalHit())
         slow = SimulationEngine(config).run(make_workload(), AlwaysMiss())
         assert slow.energy.static_nj > fast.energy.static_nj
+
+
+class TestSessionIsolation:
+    def test_interleaved_sessions_match_separate_engines(self):
+        """Every per-run value lives on the session: two sessions open on
+        one engine and stepped in alternation report exactly what two
+        engines running alone do."""
+        config = tiny()
+        workloads = [build("pr", TINY), build("mv", TINY)]
+        alone = [
+            SimulationEngine(config).run(wl, NdpExtPolicy()).to_json()
+            for wl in workloads
+        ]
+        engine = SimulationEngine(config)
+        sessions = [engine.begin_session(wl, NdpExtPolicy()) for wl in workloads]
+        epoch_lists = [wl.trace.epochs(config.epoch_accesses) for wl in workloads]
+        for pair in zip_longest(*epoch_lists):
+            for session, epoch in zip(sessions, pair):
+                if epoch is not None:
+                    session.step(epoch)
+        shared = [session.finish().to_json() for session in sessions]
+        assert shared == alone
