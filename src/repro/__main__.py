@@ -10,7 +10,6 @@ Usage::
     python -m repro suite [--preset small] [--jobs 4]
     python -m repro report [--output results.md]
     python -m repro stats trace.jsonl [other.jsonl]
-    python -m repro dash trace.jsonl --out dash.html [--prom m.prom]
     python -m repro profile --workload pr --policy ndpext [--perf-out prof.json]
     python -m repro profile --suite --jobs 4 [--report-out bottleneck.json]
     python -m repro serve --workload pr [--storm] [--journal serve.jsonl]
@@ -43,12 +42,6 @@ prefix and one ``<prefix>.<policy>.jsonl`` file is written per policy.
 ``stats`` summarizes one such trace (``--csv`` exports its epoch
 timeline), or diffs two.
 
-``dash`` renders a trace (or a ``--report-out`` JSON) into one
-self-contained HTML page: per-tier latency CDFs with exact percentiles,
-the per-unit served-request heatmap, the stack-to-stack link matrix,
-and the epoch timeline.  ``--prom``/``--json`` additionally export the
-same content in Prometheus text format / as a metrics JSON payload.
-
 ``profile`` answers *where the simulator's own wall clock goes*: it
 runs one cell (or, with ``--suite``, a small grid fanned through the
 worker pool) against a temporary cache directory so nothing is served
@@ -58,7 +51,7 @@ engine phases ranked by exclusive time, cache I/O spans, the pool
 critical path, and per-worker utilization.  Do not confuse the two
 trace flags: ``--trace-out`` (on ``run``/``compare``/``serve``) is the
 *semantic* JSONL event trace of the simulated system, consumed by
-``stats`` and ``dash``; ``--perf-out`` is a *performance* trace of the
+``stats``; ``--perf-out`` is a *performance* trace of the
 simulator process itself, consumed by Perfetto.
 
 ``serve`` keeps one engine + policy session resident and replays a
@@ -71,11 +64,11 @@ drain; ``--storm`` injects a seeded fault storm.  ``--slo`` declares
 per-tenant objectives (p99 bound, availability, shed-rate ceiling)
 evaluated live with Google-SRE multi-window burn-rate alerting, and
 ``--admission slo`` switches to the error-budget-aware admission
-controller.  ``--listen HOST:PORT`` exposes the live telemetry plane
-while serving — GET ``/metrics`` (Prometheus text), ``/healthz``,
-``/slo``, ``/report``, and POST ``/ingest`` to drive the loop from
-outside; ``--pace``/``--linger`` slow the replay and keep the endpoint
-up so it can be scraped mid-run and after.  See DESIGN.md § "Serving
+controller.  ``--listen HOST:PORT`` exposes the read-only live
+telemetry plane while serving — GET ``/metrics`` (Prometheus text),
+``/healthz``, ``/slo``, ``/report``; ``--pace``/``--linger`` (valid
+only with ``--listen``) slow the replay and keep the endpoint up so it
+can be scraped mid-run and after.  See DESIGN.md § "Serving
 mode" and § "SLO & live telemetry".
 """
 
@@ -131,20 +124,26 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _timeout_arg(value: str) -> float:
-    """``--timeout SECONDS``: a positive per-cell wall-clock limit (zero
-    or negative would kill every worker before its cell could start)."""
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--timeout expects a number of seconds, got {value!r}"
-        ) from None
-    if not seconds > 0:
-        raise argparse.ArgumentTypeError(
-            f"--timeout must be a positive number of seconds, got {value}"
-        )
-    return seconds
+def _seconds_arg(flag: str, zero_ok: bool):
+    """A wall-clock duration for ``flag``: non-negative when ``zero_ok``,
+    else positive (a zero ``--timeout`` would kill every worker before
+    its cell could start)."""
+    kind = "non-negative" if zero_ok else "positive"
+
+    def parse(value: str) -> float:
+        try:
+            seconds = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} expects a number of seconds, got {value!r}"
+            ) from None
+        if not (seconds >= 0 if zero_ok else seconds > 0):
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be a {kind} number of seconds, got {value}"
+            )
+        return seconds
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=_timeout_arg,
+        type=_seconds_arg("--timeout", zero_ok=False),
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock limit; a hung worker is killed and the "
@@ -256,22 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-out",
         default=None,
         help="also write the bottleneck report as JSON",
-    )
-
-    dash_p = sub.add_parser(
-        "dash", help="render a trace or report JSON as a standalone HTML page"
-    )
-    dash_p.add_argument(
-        "input", help="JSONL trace (run --trace-out) or report JSON"
-    )
-    dash_p.add_argument(
-        "--out", default="dash.html", help="HTML path (default: dash.html)"
-    )
-    dash_p.add_argument(
-        "--prom", default=None, help="also export Prometheus text format here"
-    )
-    dash_p.add_argument(
-        "--json", default=None, help="also export the metrics JSON payload here"
     )
 
     stats_p = sub.add_parser(
@@ -397,26 +380,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen",
         default=None,
         metavar="HOST:PORT",
-        help="expose the live telemetry plane while serving: GET "
-        "/metrics (Prometheus), /healthz, /slo, /report; POST /ingest "
-        "to drive the loop externally. ':9090' binds loopback",
+        help="expose the read-only live telemetry plane while serving: "
+        "GET /metrics (Prometheus), /healthz, /slo, /report. "
+        "':9090' binds loopback",
     )
     serve_p.add_argument(
         "--pace",
-        type=float,
-        default=0.0,
+        type=_seconds_arg("--pace", zero_ok=True),
+        default=None,
         metavar="SECONDS",
-        help="wall-clock sleep between submission waves so a live "
-        "endpoint can be scraped mid-run (simulated results are "
+        help="with --listen: wall-clock sleep between submission waves "
+        "so the endpoint can be scraped mid-run (simulated results are "
         "unaffected; default: 0)",
     )
     serve_p.add_argument(
         "--linger",
-        type=float,
-        default=0.0,
+        type=_seconds_arg("--linger", zero_ok=True),
+        default=None,
         metavar="SECONDS",
-        help="keep the --listen endpoint up this long after the run "
-        "finishes, serving the final report (default: 0)",
+        help="with --listen: keep the endpoint up this long after the "
+        "run finishes, serving the final report (default: 0)",
     )
     return parser
 
@@ -714,19 +697,20 @@ def cmd_serve(args) -> None:
         host, port = parse_listen(args.listen)
         server = LiveServeServer(
             harness.loop,
-            make_batch=harness.make_batch,
             scenario=scenario.name,
             host=host,
             port=port,
             extra_labels={"preset": args.preset},
         ).start()
         print(f"[serve] live endpoint at {server.url} "
-              "(/metrics /healthz /slo /report; POST /ingest)")
+              "(/metrics /healthz /slo /report)")
     try:
-        report = harness.run(pace_s=args.pace, lock=server.lock if server else None)
+        report = harness.run(
+            pace_s=args.pace or 0.0, lock=server.lock if server else None
+        )
         if server is not None:
             server.set_final(report)
-            if args.linger > 0:
+            if args.linger:
                 print(f"[serve] lingering {args.linger:g}s at {server.url}")
                 _time.sleep(args.linger)
     finally:
@@ -788,14 +772,10 @@ def cmd_stats(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "stats":
         cmd_stats(args)
-        return 0
-    if args.command == "dash":
-        from repro.obs.dash import cmd_dash
-
-        cmd_dash(args)
         return 0
     if args.command == "profile":
         # Builds its own context *after* redirecting REPRO_CACHE_DIR,
@@ -803,6 +783,11 @@ def main(argv: list[str] | None = None) -> int:
         cmd_profile(args)
         return 0
     if args.command == "serve":
+        # Pacing and lingering only serve a live endpoint; without one
+        # they would just slow the replay down.
+        for flag in ("pace", "linger"):
+            if getattr(args, flag) is not None and not args.listen:
+                parser.error(f"--{flag} requires --listen")
         # The serving harness owns its engine/policy lifetime (the whole
         # point is one resident session), so no ExperimentContext.
         cmd_serve(args)

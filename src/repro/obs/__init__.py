@@ -16,12 +16,12 @@ Layers (DESIGN.md "Observability" and "Distributional observability"):
   the ``profile`` verb's Perfetto export and bottleneck report live in
   :mod:`repro.obs.perfreport`, imported directly to keep this package
   import-light.
-* Exporters — :func:`prometheus_text` / :func:`json_payload` over a
-  report, and the ``dash`` HTML renderer.
+* :mod:`repro.obs.export` — the serving Prometheus document behind
+  ``serve --prom`` and the live ``/metrics``, and the strict JSON
+  writer behind every ``--report-out``.
 
 ``read_trace`` / ``summarize`` / ``diff_rows`` are the read side used
-by ``python -m repro stats``; ``report_from_trace`` rebuilds a full
-:class:`~repro.sim.metrics.SimulationReport` from a JSONL trace.
+by ``python -m repro stats``.
 """
 
 from repro.obs.histogram import (
@@ -61,7 +61,6 @@ from repro.obs.traceio import (
     TraceFile,
     diff_rows,
     read_trace,
-    report_from_trace,
     summarize,
     summary_rows,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "TraceFile",
     "diff_rows",
     "read_trace",
-    "report_from_trace",
     "sanitize_json",
     "summarize",
     "summary_rows",

@@ -1,18 +1,13 @@
-"""Metrics export: Prometheus text format and a JSON payload.
+"""Metrics export: Prometheus text format and strict JSON files.
 
-One :class:`~repro.sim.metrics.SimulationReport` (typically rebuilt from
-a trace via :func:`repro.obs.traceio.report_from_trace`) becomes either
-
-* a **Prometheus text-format** document — latency histograms as native
-  Prometheus histograms (cumulative ``_bucket{le=...}`` series plus
-  ``_sum``/``_count``), per-unit and per-stack-pair spatial series, and
-  the scalar hit/latency/energy/fault/reconfiguration counters — ready
-  for a pushgateway or a textfile collector, or
-* a **JSON payload** with the same content, sanitized so no
-  ``NaN``/``Infinity`` token can appear (strict parsers reject them).
-
-Every series carries the run's identifying labels (workload, policy,
-and whatever extra labels the caller passes).
+:func:`serve_prometheus` renders a :class:`~repro.serve.report.ServeReport`
+as a Prometheus text-format document — per-tenant batch outcomes, batch
+latency as native Prometheus histograms (cumulative ``_bucket{le=...}``
+series plus ``_sum``/``_count``), reconfiguration and degradation
+gauges, and the SLO burn/budget gauges.  ``serve --prom`` writes it and
+the live ``/metrics`` endpoint serves it.  :func:`write_json` writes
+every ``--report-out`` payload, sanitized so no ``NaN``/``Infinity``
+token can appear (strict parsers reject them).
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ import numpy as np
 
 from repro.obs.histogram import EDGES, LatencyHistogram
 from repro.obs.recorder import sanitize_json
-from repro.sim.metrics import SimulationReport
 
 PREFIX = "repro"
 
@@ -73,8 +67,8 @@ class _Writer:
 def _histogram_lines(
     writer: _Writer, name: str, hist: LatencyHistogram, base: dict
 ) -> None:
-    """One tier's histogram in native Prometheus histogram layout."""
-    writer.declare(name, "histogram", "request service latency (ns) by tier")
+    """One histogram in native Prometheus layout (``name`` must already
+    be declared)."""
     cum = np.cumsum(hist.counts)
     # Emit only the edges that change the cumulative count, plus +Inf —
     # full fidelity at a fraction of the 194 buckets.
@@ -93,146 +87,13 @@ def _histogram_lines(
     writer.sample(f"{name}_count", base, hist.n)
 
 
-def prometheus_text(
-    report: SimulationReport, extra_labels: dict[str, object] | None = None
-) -> str:
-    """Render one report as a Prometheus text-format document."""
-    base = {"workload": report.workload, "policy": report.policy}
-    base.update(extra_labels or {})
-    w = _Writer()
-
-    w.declare(f"{PREFIX}_runtime_cycles", "gauge", "simulated runtime in core cycles")
-    w.sample(f"{PREFIX}_runtime_cycles", base, report.runtime_cycles)
-
-    w.declare(f"{PREFIX}_requests_total", "counter", "requests by serving level")
-    for tier, value in (
-        ("l1", report.hits.l1_hits),
-        ("cache_local", report.hits.cache_hits_local),
-        ("cache_remote", report.hits.cache_hits_remote),
-        ("extended", report.hits.cache_misses),
-    ):
-        w.sample(f"{PREFIX}_requests_total", {**base, "level": tier}, value)
-
-    w.declare(
-        f"{PREFIX}_latency_ns_total", "counter", "total latency by component"
-    )
-    for comp in ("sram", "metadata", "dram", "intra_noc", "inter_noc", "extended"):
-        w.sample(
-            f"{PREFIX}_latency_ns_total",
-            {**base, "component": comp},
-            getattr(report.breakdown, f"{comp}_ns"),
-        )
-
-    w.declare(f"{PREFIX}_energy_nj_total", "counter", "energy by component")
-    for comp in ("static", "sram", "ndp_dram", "noc", "cxl", "ext_dram"):
-        w.sample(
-            f"{PREFIX}_energy_nj_total",
-            {**base, "component": comp},
-            getattr(report.energy, f"{comp}_nj"),
-        )
-
-    w.declare(
-        f"{PREFIX}_reconfig_total", "counter", "reconfiguration activity"
-    )
-    w.sample(
-        f"{PREFIX}_reconfig_total",
-        {**base, "kind": "movements"},
-        report.reconfig_movements,
-    )
-    w.sample(
-        f"{PREFIX}_reconfig_total",
-        {**base, "kind": "invalidations"},
-        report.reconfig_invalidations,
-    )
-
-    if report.faults is not None:
-        w.declare(f"{PREFIX}_faults_total", "counter", "fault-layer activity")
-        for kind in (
-            "crc_retries",
-            "crc_reissues",
-            "units_lost",
-            "rows_quarantined",
-            "demoted_requests",
-        ):
-            w.sample(
-                f"{PREFIX}_faults_total",
-                {**base, "kind": kind},
-                getattr(report.faults, kind),
-            )
-        w.declare(
-            f"{PREFIX}_fault_penalty_ns", "gauge", "latency added by faults"
-        )
-        w.sample(f"{PREFIX}_fault_penalty_ns", base, report.faults.penalty_ns)
-
-    if report.tier_histograms:
-        for tier, hist in report.tier_histograms.items():
-            _histogram_lines(
-                w, f"{PREFIX}_request_latency_ns", hist, {**base, "tier": tier}
-            )
-
-    if report.spatial is not None:
-        spatial = report.spatial
-        w.declare(
-            f"{PREFIX}_unit_issued_requests_total",
-            "counter",
-            "post-L1 requests issued per NDP unit",
-        )
-        w.declare(
-            f"{PREFIX}_unit_served_requests_total",
-            "counter",
-            "cache hits served per NDP unit",
-        )
-        w.declare(
-            f"{PREFIX}_unit_occupancy_ns_total",
-            "counter",
-            "DRAM service time per NDP unit",
-        )
-        for unit in range(spatial.n_units):
-            labels = {**base, "unit": unit}
-            w.sample(
-                f"{PREFIX}_unit_issued_requests_total", labels, spatial.issued[unit]
-            )
-            w.sample(
-                f"{PREFIX}_unit_served_requests_total", labels, spatial.served[unit]
-            )
-            w.sample(
-                f"{PREFIX}_unit_occupancy_ns_total",
-                labels,
-                spatial.occupancy_ns[unit],
-            )
-        w.declare(
-            f"{PREFIX}_link_bytes_total",
-            "counter",
-            "NoC bytes by (source stack, destination stack)",
-        )
-        for src in range(spatial.n_stacks):
-            for dst in range(spatial.n_stacks):
-                value = spatial.link_bytes[src][dst]
-                if value:
-                    w.sample(
-                        f"{PREFIX}_link_bytes_total",
-                        {**base, "src_stack": src, "dst_stack": dst},
-                        value,
-                    )
-        w.declare(
-            f"{PREFIX}_load_imbalance",
-            "gauge",
-            "max/mean served requests across units",
-        )
-        w.sample(f"{PREFIX}_load_imbalance", base, spatial.load_imbalance)
-
-    return "\n".join(w.lines) + "\n"
-
-
 def serve_prometheus(
     report, extra_labels: dict[str, object] | None = None
 ) -> str:
     """Render a :class:`~repro.serve.report.ServeReport` as Prometheus
     text format: per-tenant admission/shed/timeout counters, batch
     latency as native histograms (overall and per tenant), plus
-    reconfiguration and degradation gauges.  Appended after
-    :func:`prometheus_text` of the embedded sim report, this is the
-    future live ``/metrics`` payload.
+    reconfiguration and degradation gauges.
     """
     base = {"scenario": report.scenario}
     base.update(extra_labels or {})
@@ -372,41 +233,6 @@ def _slo_lines(w: _Writer, status: dict, base: dict) -> None:
                     obj_labels,
                     obj.get("windows_met", 0),
                 )
-
-
-def slo_prometheus(
-    status: dict, extra_labels: dict[str, object] | None = None
-) -> str:
-    """Render one :meth:`SloEngine.status` payload standalone (the live
-    endpoint embeds the same series through :func:`serve_prometheus`)."""
-    w = _Writer()
-    _slo_lines(w, status, dict(extra_labels or {}))
-    return "\n".join(w.lines) + "\n"
-
-
-def json_payload(
-    report: SimulationReport,
-    extra: dict | None = None,
-    counters: dict | None = None,
-) -> dict:
-    """The same content as :func:`prometheus_text` as one JSON object.
-
-    ``counters`` accepts a trace's counters line (cache hit/miss rates
-    and engine counters) so exports from traces carry them too.
-    """
-    payload = report.to_json(include_obs=True)
-    if report.tier_histograms:
-        payload["percentiles_ns"] = {
-            tier: hist.percentiles()
-            for tier, hist in report.tier_histograms.items()
-        }
-    if report.spatial is not None:
-        payload["load_imbalance"] = report.spatial.load_imbalance
-    if counters:
-        payload["counters"] = dict(counters)
-    if extra:
-        payload.update(extra)
-    return sanitize_json(payload)
 
 
 def write_json(path: str, payload: dict) -> None:

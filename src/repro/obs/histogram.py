@@ -74,11 +74,6 @@ class LatencyHistogram:
     def n(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def mean_ns(self) -> float:
-        n = self.n
-        return self.total_ns / n if n else 0.0
-
     def observe(self, values_ns: np.ndarray) -> None:
         """Fold an array of latencies in (one bincount, not per-value)."""
         values_ns = np.asarray(values_ns, dtype=np.float64)
@@ -146,21 +141,6 @@ class LatencyHistogram:
             "p99": self.percentile(99.0),
             "p999": self.percentile(99.9),
         }
-
-    def cdf_points(self) -> list[tuple[float, float]]:
-        """(latency upper bound, cumulative fraction) per non-empty prefix,
-        for CDF plots; empty histogram yields []."""
-        n = self.n
-        if n == 0:
-            return []
-        cum = np.cumsum(self.counts)
-        points = []
-        for idx in range(N_BUCKETS):
-            if self.counts[idx] == 0:
-                continue
-            _, hi = self._bucket_bounds(idx)
-            points.append((hi, float(cum[idx]) / n))
-        return points
 
     # ------------------------------------------------------------------
 

@@ -28,9 +28,9 @@ module turns those signals into a live **SLO engine**:
   ``slo_recovered`` recorder events (trace schema 3).
 
 The engine is deliberately passive — it never touches the loop — so the
-same evaluation drives three consumers: the ``/slo`` and ``/metrics``
-live endpoints (:mod:`repro.serve.live`), the SLO dashboard panel
-(:mod:`repro.obs.dash`), and the error-budget-aware
+same evaluation drives its consumers: the ``/slo`` and ``/metrics``
+live endpoints (:mod:`repro.serve.live`), the ``stats`` SLO roll-up,
+and the error-budget-aware
 :class:`~repro.serve.admission.SloAdmissionController`.
 """
 
@@ -429,7 +429,7 @@ class SloEngine:
     def emit_status(self) -> None:
         """One ``slo_status`` event per tenant (trace schema 3): the
         end-of-run alert state, budget burn-down history, and window
-        accounting the ``dash`` SLO panel renders from."""
+        accounting; ``stats`` reads each tenant's worst burn from it."""
         if not self.recorder.enabled:
             return
         status = self.status()

@@ -105,34 +105,6 @@ def read_trace(path: str) -> TraceFile:
     return trace
 
 
-def report_from_trace(trace: TraceFile):
-    """Reconstruct a :class:`~repro.sim.metrics.SimulationReport` from a
-    trace's events: timeline aggregates for hits/latency/energy, the
-    final cumulative runtime, plus the tier histograms and the spatial
-    summary.  Static energy cannot be recovered (it is charged once,
-    after the epoch loop) and stays at the per-epoch sum.
-    """
-    from repro.sim.metrics import SimulationReport
-
-    timeline = trace.timeline
-    last = timeline.records[-1] if len(timeline) else None
-    histograms = trace.histograms
-    return SimulationReport(
-        policy=trace.header.get("policy", "?"),
-        workload=trace.header.get("workload", "?"),
-        runtime_cycles=last.cycles_total if last else 0.0,
-        breakdown=timeline.aggregate_breakdown(),
-        energy=timeline.aggregate_energy(),
-        hits=timeline.aggregate_hits(),
-        reconfig_movements=sum(r.reconfig_movements for r in timeline),
-        reconfig_invalidations=sum(r.reconfig_invalidations for r in timeline),
-        per_epoch_cycles=[r.cycles_total for r in timeline],
-        timeline=timeline,
-        tier_histograms=histograms if histograms else None,
-        spatial=trace.spatial,
-    )
-
-
 # Serving-mode (schema 2) and SLO (schema 3) events with the fields
 # each must carry; the summarizer hard-fails on a malformed one rather
 # than silently under-counting dropped work.

@@ -2,7 +2,7 @@
 
 :class:`LiveServeServer` runs a stdlib :class:`ThreadingHTTPServer` on a
 daemon thread next to a :class:`~repro.serve.loop.ServeLoop`, turning
-the passive exporters into a queryable, drivable ops surface:
+the passive exporters into a queryable, read-only ops surface:
 
 * ``GET /metrics`` — the serving Prometheus document for the loop's
   *current* state (:func:`~repro.obs.export.serve_prometheus` over a
@@ -14,19 +14,12 @@ the passive exporters into a queryable, drivable ops surface:
 * ``GET /slo`` — the full per-tenant objective status as JSON
   (:meth:`SloEngine.status`).
 * ``GET /report`` — the snapshot :class:`ServeReport` as JSON.
-* ``POST /ingest`` — submit batches into the tenant queues from
-  outside: the body names batches by journal identity
-  (``tenant``/``batch_id``/``start``/``stop``) and the server
-  materializes trace slices through the harness, so external traffic
-  replays *exactly* like a scripted scenario.
-* ``POST /drain`` / ``POST /finish`` — graceful shutdown over HTTP;
-  ``/finish`` returns the final report and freezes it for later GETs.
 
-Every handler serializes on one lock shared with the scripted replay
-(:meth:`ServeHarness.run` accepts it), so a scrape mid-storm sees a
-consistent loop state and an ``/ingest``-driven run stays bit-identical
-to its scripted equivalent.  The simulated clock never observes HTTP
-timing — transport pacing cannot change a replayed result.
+The plane only observes: the scripted replay (:meth:`ServeHarness.run`)
+is the one way to drive the loop, and a POST gets an error status.
+Every handler serializes on one lock shared with that replay, so a
+scrape mid-storm sees a consistent loop state.  The simulated clock
+never observes HTTP timing — scraping cannot change a replayed result.
 """
 
 from __future__ import annotations
@@ -38,6 +31,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.obs.export import serve_prometheus
 from repro.obs.recorder import sanitize_json
 from repro.serve.health import FLAPPING
+
+ROUTES = ("/metrics", "/healthz", "/slo", "/report")
 
 
 def parse_listen(spec: str) -> tuple[str, int]:
@@ -61,18 +56,16 @@ class LiveServeServer:
     def __init__(
         self,
         loop,
-        make_batch=None,
         scenario: str = "",
         host: str = "127.0.0.1",
         port: int = 0,
         extra_labels: dict | None = None,
     ) -> None:
         self.loop = loop
-        self.make_batch = make_batch
         self.scenario = scenario
         self.extra_labels = dict(extra_labels or {})
         self.lock = threading.RLock()
-        self._final = None  # ServeReport after /finish (or set_final)
+        self._final = None  # ServeReport frozen by set_final
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -102,12 +95,14 @@ class LiveServeServer:
                     self._json(500, {"error": repr(exc)})
 
             def do_POST(self):
-                try:
-                    server._post(self)
-                except BrokenPipeError:
-                    pass
-                except Exception as exc:
-                    self._json(500, {"error": repr(exc)})
+                # Read-only: a known path answers 405, anything else 404.
+                # The body is drained so closing cannot reset the reply.
+                self.rfile.read(int(self.headers.get("Content-Length") or 0))
+                path = self.path.split("?", 1)[0]
+                if path in ROUTES:
+                    self._json(405, {"error": f"{path} is read-only"})
+                else:
+                    self._json(404, {"error": f"unknown path {path!r}"})
 
         self.httpd = ThreadingHTTPServer((host, port), Handler)
         self.httpd.daemon_threads = True
@@ -143,8 +138,7 @@ class LiveServeServer:
         self.close()
 
     def set_final(self, report) -> None:
-        """Freeze the end-of-run report (scripted runs call this after
-        ``harness.run``; ``/finish`` does it for ingest-driven runs)."""
+        """Freeze the end-of-run report (call after ``harness.run``)."""
         with self.lock:
             self._final = report
 
@@ -211,102 +205,3 @@ class LiveServeServer:
             handler._json(200, payload)
         else:
             handler._json(404, {"error": f"unknown path {path!r}"})
-
-    def _read_body(self, handler) -> dict:
-        length = int(handler.headers.get("Content-Length") or 0)
-        raw = handler.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        payload = json.loads(raw)
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    def _post(self, handler) -> None:
-        path = handler.path.split("?", 1)[0]
-        try:
-            payload = self._read_body(handler)
-        except (ValueError, json.JSONDecodeError) as exc:
-            handler._json(400, {"error": str(exc)})
-            return
-        if path == "/ingest":
-            self._ingest(handler, payload)
-        elif path == "/drain":
-            with self.lock:
-                if self._final is not None:
-                    handler._json(409, {"error": "loop already finished"})
-                    return
-                drained = self.loop.drain()
-            handler._json(200, {"drained": drained})
-        elif path == "/finish":
-            with self.lock:
-                if self._final is not None:
-                    handler._json(409, {"error": "loop already finished"})
-                    return
-                report = self.loop.finish(
-                    str(payload.get("scenario", self.scenario))
-                )
-                self._final = report
-            handler._json(200, report.to_json())
-        else:
-            handler._json(404, {"error": f"unknown path {path!r}"})
-
-    def _ingest(self, handler, payload: dict) -> None:
-        """Submit batches, then optionally serve: ``steps`` absent means
-        submit-only, ``null`` drains the backlog fully, an integer is a
-        bounded serving burst — the exact vocabulary of a scripted
-        wave, so external clients can reproduce any scenario pacing."""
-        if self.make_batch is None:
-            handler._json(
-                501, {"error": "this endpoint has no workload to slice"}
-            )
-            return
-        batches = payload.get("batches", [])
-        if not isinstance(batches, list):
-            handler._json(400, {"error": "'batches' must be a list"})
-            return
-        decisions = []
-        with self.lock:
-            if self._final is not None:
-                handler._json(409, {"error": "loop already finished"})
-                return
-            try:
-                materialized = [
-                    self.make_batch(
-                        str(spec["tenant"]),
-                        int(spec["batch_id"]),
-                        int(spec["start"]),
-                        int(spec["stop"]),
-                    )
-                    for spec in batches
-                ]
-            except (KeyError, TypeError, ValueError) as exc:
-                handler._json(400, {"error": f"bad batch spec: {exc!r}"})
-                return
-            for batch in materialized:
-                decision = self.loop.submit(batch)
-                decisions.append(
-                    {
-                        "tenant": batch.tenant,
-                        "batch_id": batch.batch_id,
-                        "admitted": decision.admitted,
-                        "reason": decision.reason,
-                    }
-                )
-            steps = 0
-            if "steps" in payload:
-                limit = payload["steps"]
-                steps = self.loop.run_until_idle(
-                    max_steps=None if limit is None else int(limit)
-                )
-            queued = self.loop.queued
-            epochs = self.loop.epochs
-        handler._json(
-            200,
-            {
-                "decisions": decisions,
-                "steps": steps,
-                "queued": queued,
-                "epochs": epochs,
-            },
-        )

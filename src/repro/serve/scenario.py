@@ -219,24 +219,6 @@ class ServeHarness:
 
     # ------------------------------------------------------------------
 
-    def make_batch(
-        self, tenant: str, batch_id: int, start: int, stop: int
-    ) -> Batch:
-        """Materialize one batch from its journal-style identity — the
-        live ``/ingest`` endpoint reconstructs traffic through this."""
-        n = len(self.workload.trace)
-        if not 0 <= start < stop <= n:
-            raise ValueError(
-                f"batch [{start}, {stop}) outside trace of {n} accesses"
-            )
-        return Batch(
-            tenant=tenant,
-            batch_id=int(batch_id),
-            trace=self.workload.trace.slice(start, stop),
-            start=start,
-            stop=stop,
-        )
-
     def batches(self) -> list[Batch]:
         """The scenario's full batch list, in submission order."""
         assignment = self.scenario.tenant_assignment(self.n_batches)

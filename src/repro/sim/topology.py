@@ -107,9 +107,6 @@ class Topology:
                         ) // 2 + 1
         return intra, inter
 
-    def stack_of(self, unit: int) -> int:
-        return self.positions[unit].stack
-
     def units_in_stack(self, stack: int) -> list[int]:
         return [u for u in range(self.n_units) if self.positions[u].stack == stack]
 

@@ -43,9 +43,6 @@ class FlowNetwork:
     def nodes(self) -> list[int]:
         return list(self._residual)
 
-    def capacity_of(self, src: int, dst: int) -> int:
-        return self._capacity.get((src, dst), 0)
-
     def _bfs_augmenting_path(self, source: int, sink: int) -> list[int] | None:
         """Shortest (fewest-edge) path with positive residual capacity."""
         parents: dict[int, int] = {source: source}

@@ -73,6 +73,31 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'trace'" in capsys.readouterr().err
 
+    def test_dash_verb_is_gone(self, capsys):
+        """A run is viewed through ``stats`` and ``--report-out``."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["dash"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dash'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pace", "1"], "--pace requires --listen"),
+            (["--linger", "0"], "--linger requires --listen"),
+            (["--listen", ":0", "--pace", "-1"], "--pace must be a non-negative"),
+            (["--listen", ":0", "--linger", "-2"], "--linger must be a non-negative"),
+            (["--listen", ":0", "--pace", "nan"], "--pace must be a non-negative"),
+        ],
+    )
+    def test_serve_rejects_pacing_without_an_endpoint(self, flags, message, capsys):
+        """Without --listen, pacing would only slow the replay; a
+        negative duration has no meaning."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--preset", "tiny", "serve", "--max-batches", "1"] + flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run_command(self, capsys):

@@ -1,17 +1,15 @@
-"""Prometheus/JSON exporter validity: every emitted line must parse
-under the text-format grammar, histogram series must be cumulative and
-capped by ``+Inf == _count``, and the JSON payload must be strictly
-finite."""
+"""Exporter validity: every serving Prometheus line must parse under
+the text-format grammar, histogram series must be cumulative and capped
+by ``+Inf == _count``, and written JSON must be strictly finite."""
 
 import json
-import math
 import re
 
 import pytest
 
 from repro.core import NdpExtPolicy
 from repro.obs import Recorder
-from repro.obs.export import json_payload, prometheus_text, write_json
+from repro.obs.export import write_json
 from repro.sim import SimulationEngine, tiny
 from repro.workloads import TINY, build
 
@@ -24,107 +22,20 @@ METRIC_LINE = re.compile(
 COMMENT_LINE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*( .*)?$")
 
 
-@pytest.fixture(scope="module")
-def recorded_report():
-    recorder = Recorder(workload="pr", policy="ndpext", preset="tiny")
-    engine = SimulationEngine(tiny(), recorder=recorder)
-    return engine.run(build("pr", TINY), NdpExtPolicy())
-
-
-@pytest.fixture(scope="module")
-def prom(recorded_report):
-    return prometheus_text(recorded_report, extra_labels={"preset": "tiny"})
-
-
-class TestPrometheusFormat:
-    def test_every_line_parses(self, prom):
-        for line in prom.strip().splitlines():
-            assert METRIC_LINE.match(line) or COMMENT_LINE.match(line), line
-
-    def test_each_metric_declared_once_before_samples(self, prom):
-        declared = []
-        for line in prom.splitlines():
-            if line.startswith("# TYPE "):
-                declared.append(line.split()[2])
-        assert len(declared) == len(set(declared)), "duplicate TYPE headers"
-        seen = set()
-        for line in prom.splitlines():
-            if line.startswith("#"):
-                seen.add(line.split()[2])
-            else:
-                name = re.match(r"^[a-zA-Z_:][a-zA-Z0-9_:]*", line).group(0)
-                base = re.sub(r"_(bucket|sum|count)$", "", name)
-                assert name in seen or base in seen, name
-
-    def test_core_series_present(self, prom):
-        for needle in (
-            "repro_runtime_cycles",
-            'repro_requests_total{workload="pr",policy="ndpext",preset="tiny",level="l1"}',
-            "repro_request_latency_ns_bucket",
-            "repro_unit_served_requests_total",
-            "repro_load_imbalance",
-        ):
-            assert needle in prom, needle
-
-    def test_histogram_buckets_cumulative_and_capped(self, prom, recorded_report):
-        for tier, hist in recorded_report.tier_histograms.items():
-            pattern = re.compile(
-                r"repro_request_latency_ns_bucket\{[^}]*tier=\""
-                + tier
-                + r"\"[^}]*le=\"([^\"]+)\"\} (\d+)"
-            )
-            rows = [
-                (le, int(count))
-                for le, count in pattern.findall(prom)
-            ]
-            assert rows, tier
-            counts = [count for _, count in rows]
-            assert counts == sorted(counts), f"{tier}: not cumulative"
-            assert rows[-1][0] == "+Inf"
-            assert counts[-1] == hist.n
-
-    def test_unit_series_reconcile_with_spatial(self, prom, recorded_report):
-        served = re.findall(
-            r"repro_unit_served_requests_total\{[^}]*\} (\d+)", prom
-        )
-        assert [int(v) for v in served] == recorded_report.spatial.served
-
-
-class TestJsonPayload:
-    def test_no_non_finite_values_anywhere(self, recorded_report):
-        payload = json_payload(
-            recorded_report, extra={"weird": float("nan")}
-        )
-        text = json.dumps(payload, allow_nan=False)  # raises if any slip
-        assert "NaN" not in text and "Infinity" not in text
-        assert payload["weird"] is None
-
-    def test_carries_percentiles_and_imbalance(self, recorded_report):
-        payload = json_payload(recorded_report)
-        assert set(payload["percentiles_ns"]) == {
-            "local",
-            "intra",
-            "inter",
-            "extended",
-        }
-        for stats in payload["percentiles_ns"].values():
-            assert set(stats) == {"p50", "p95", "p99", "p999"}
-            assert all(
-                v is None or math.isfinite(v) for v in stats.values()
-            )
-        assert payload["load_imbalance"] >= 1.0
-
-    def test_counters_passthrough(self, recorded_report):
-        payload = json_payload(
-            recorded_report, counters={"runner.cache_miss": 3}
-        )
-        assert payload["counters"] == {"runner.cache_miss": 3}
-
-    def test_write_json_round_trips(self, recorded_report, tmp_path):
+class TestWriteJson:
+    def test_round_trips_without_non_finite_tokens(self, tmp_path):
+        """What ``run --report-out`` writes: strict JSON, NaN as null."""
+        recorder = Recorder(workload="pr", policy="ndpext", preset="tiny")
+        engine = SimulationEngine(tiny(), recorder=recorder)
+        report = engine.run(build("pr", TINY), NdpExtPolicy())
         path = tmp_path / "m.json"
-        write_json(str(path), json_payload(recorded_report))
-        loaded = json.loads(path.read_text())
-        assert loaded["runtime_cycles"] == recorded_report.runtime_cycles
+        payload = report.to_json(include_obs=True)
+        write_json(str(path), {**payload, "weird": float("nan")})
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        loaded = json.loads(text)
+        assert loaded["runtime_cycles"] == report.runtime_cycles
+        assert loaded["weird"] is None
 
 
 class TestServePrometheusFormat:
@@ -241,40 +152,3 @@ class TestServePrometheusFormat:
         assert 'scenario="sce\\"nario"' in text
         # The raw (unescaped) label value never appears verbatim.
         assert f'tenant="{weird}"' not in text
-
-
-class TestSloPrometheusStandalone:
-    def test_renders_status_payload(self):
-        from repro.obs.export import slo_prometheus
-
-        status = {
-            "tenants": {
-                "a": {
-                    "alert": "page",
-                    "budget_remaining": -0.5,
-                    "objectives": {
-                        "latency_p99": {
-                            "burn_fast": 20.0,
-                            "burn_slow": 15.0,
-                            "windows_total": 4,
-                            "windows_met": 1,
-                        }
-                    },
-                }
-            }
-        }
-        text = slo_prometheus(status, {"preset": "tiny"})
-        for line in text.strip().splitlines():
-            assert METRIC_LINE.match(line) or COMMENT_LINE.match(line), line
-        assert 'repro_slo_alert_state{preset="tiny",tenant="a"} 2' in text
-        assert "repro_slo_budget_remaining" in text
-        assert 'window="slow"} 15.0' in text
-        assert 'repro_slo_latency_windows_met{preset="tiny",tenant="a",objective="latency_p99"} 1' in text
-
-    def test_empty_status_is_headers_only(self):
-        from repro.obs.export import slo_prometheus
-
-        text = slo_prometheus({"tenants": {}})
-        assert all(
-            line.startswith("#") for line in text.strip().splitlines()
-        )

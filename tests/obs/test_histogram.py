@@ -67,9 +67,10 @@ class TestPercentiles:
     def test_empty_histogram_is_all_zero(self):
         hist = LatencyHistogram()
         assert hist.n == 0
-        assert hist.mean_ns == 0.0
         assert hist.percentile(99) == 0.0
-        assert hist.cdf_points() == []
+        assert hist.percentiles() == dict.fromkeys(
+            ("p50", "p95", "p99", "p999"), 0.0
+        )
 
 
 class TestMerge:

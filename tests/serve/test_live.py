@@ -1,13 +1,10 @@
 """The live telemetry plane: /metrics validity, health, and the
-ingest-equivalence acceptance contract.
-
-Two load-bearing guarantees from the SLO PR:
+read-only contract.
 
 * ``GET /metrics`` mid-run or post-run is valid Prometheus text
   (every line parses, histograms stay cumulative) and scraping it
   concurrently never perturbs the replayed result.
-* ``POST /ingest`` driving the same batch identities through HTTP
-  reproduces the scripted scenario's report bit for bit.
+* The plane only observes: a POST, to any path, changes nothing.
 """
 
 import json
@@ -99,7 +96,6 @@ def finished():
     harness = ServeHarness(storm_scenario(), preset="tiny")
     server = LiveServeServer(
         harness.loop,
-        make_batch=harness.make_batch,
         scenario=harness.scenario.name,
         port=0,
         extra_labels={"preset": "tiny"},
@@ -182,24 +178,6 @@ class TestStatusEndpoints:
             assert status == 404
             assert "unknown path" in payload["error"]
 
-    def test_finished_loop_refuses_mutation(self, finished):
-        server, _ = finished
-        for path in ("/drain", "/finish"):
-            status, _, payload = http(server, path, payload={})
-            assert status == 409, path
-            assert "finished" in payload["error"]
-        status, _, payload = http(
-            server,
-            "/ingest",
-            payload={
-                "batches": [
-                    {"tenant": "interactive", "batch_id": 0,
-                     "start": 0, "stop": 100}
-                ]
-            },
-        )
-        assert status == 409
-
 
 class TestConcurrentScrapes:
     def test_scraping_mid_run_does_not_perturb_the_report(self):
@@ -235,130 +213,30 @@ class TestConcurrentScrapes:
         assert report.to_json() == reference.to_json()
 
 
-class TestIngest:
-    def _fresh(self):
+class TestReadOnly:
+    def test_posts_are_refused_and_change_nothing(self):
+        """The scripted replay is the only driver: on a live, unfinished
+        loop a POST to ingest, drain or finish answers an error and
+        leaves the queue, the clock and the report untouched."""
         harness = ServeHarness(storm_scenario(), preset="tiny")
-        server = LiveServeServer(
-            harness.loop,
-            make_batch=harness.make_batch,
-            scenario=harness.scenario.name,
-            port=0,
-        ).start()
-        return harness, server
-
-    def test_ingest_driven_run_reproduces_scripted_report(self):
-        """The acceptance criterion: replaying the scenario's batch
-        identities over HTTP — same waves, same step budgets — yields a
-        bit-identical ServeReport."""
-        scenario = storm_scenario()
-        reference = ServeHarness(scenario, preset="tiny").run()
-
-        harness, server = self._fresh()
-        try:
-            specs = [
-                {
-                    "tenant": b.tenant,
-                    "batch_id": b.batch_id,
-                    "start": b.start,
-                    "stop": b.stop,
-                }
-                for b in harness.batches()
-            ]
-            wave = scenario.wave_size
-            for i in range(0, len(specs), wave):
-                chunk = specs[i : i + wave]
-                body = {"batches": chunk}
-                if len(chunk) == wave:  # full wave gets its step budget
-                    body["steps"] = scenario.steps_per_wave
-                status, _, payload = http(server, "/ingest", payload=body)
-                assert status == 200
-                assert len(payload["decisions"]) == len(chunk)
-            # End of traffic: drain the backlog fully, then finish.
-            status, _, _ = http(
-                server, "/ingest", payload={"batches": [], "steps": None}
-            )
-            assert status == 200
-            status, _, drained = http(server, "/drain", payload={})
-            assert status == 200
-            status, _, final = http(
-                server, "/finish", payload={"scenario": scenario.name}
-            )
-            assert status == 200
-            # The frozen report keeps serving after /finish.
-            status, _, again = http(server, "/report")
-            assert again == final
-        finally:
-            server.close()
-        assert final == json.loads(
-            json.dumps(reference.to_json(), allow_nan=False)
-        )
-
-    def test_ingest_reports_admission_decisions(self):
-        harness, server = self._fresh()
-        try:
-            status, _, payload = http(
-                server,
-                "/ingest",
-                payload={
-                    "batches": [
-                        {"tenant": "interactive", "batch_id": 7,
-                         "start": 0, "stop": 500}
-                    ]
-                },
-            )
-            assert status == 200
-            (decision,) = payload["decisions"]
-            assert decision["tenant"] == "interactive"
-            assert decision["batch_id"] == 7
-            assert decision["admitted"] is True
-            assert payload["queued"] == 1
-            assert payload["steps"] == 0  # no "steps" key -> submit-only
-        finally:
-            server.close()
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            {"tenant": "interactive"},  # missing identity fields
-            {"tenant": "interactive", "batch_id": 0,
-             "start": 500, "stop": 100},  # inverted slice
-            {"tenant": "interactive", "batch_id": 0,
-             "start": 0, "stop": 10**9},  # past end of trace
-        ],
-    )
-    def test_bad_batch_specs_400(self, spec):
-        harness, server = self._fresh()
-        try:
-            status, _, payload = http(
-                server, "/ingest", payload={"batches": [spec]}
-            )
-            assert status == 400
-            assert "bad batch spec" in payload["error"]
-        finally:
-            server.close()
-
-    def test_malformed_bodies_400(self):
-        harness, server = self._fresh()
-        try:
-            status, _, payload = http(
-                server, "/ingest", payload={"batches": "nope"}
-            )
-            assert status == 400
-            req = urllib.request.Request(
-                server.url + "/ingest", data=b"not json", method="POST"
-            )
-            try:
-                resp = urllib.request.urlopen(req, timeout=10)
-            except urllib.error.HTTPError as err:
-                resp = err
-            assert resp.status == 400
-        finally:
-            server.close()
-
-    def test_ingest_without_workload_501(self):
-        harness = ServeHarness(storm_scenario(), preset="tiny")
-        with LiveServeServer(harness.loop, port=0) as server:
-            status, _, payload = http(
-                server, "/ingest", payload={"batches": []}
-            )
-            assert status == 501
+        batch = harness.batches()[0]
+        harness.loop.submit(batch)
+        with LiveServeServer(
+            harness.loop, scenario=harness.scenario.name, port=0
+        ) as server:
+            queued, epochs = harness.loop.queued, harness.loop.epochs
+            assert queued == 1
+            _, _, before = http(server, "/report")
+            spec = {"tenant": batch.tenant, "batch_id": 99,
+                    "start": batch.start, "stop": batch.stop}
+            for path, body in (
+                ("/ingest", {"batches": [spec], "steps": None}),
+                ("/drain", {}),
+                ("/finish", {"scenario": "x"}),
+            ):
+                status, _, _ = http(server, path, payload=body)
+                assert status >= 400, path
+            assert harness.loop.queued == queued
+            assert harness.loop.epochs == epochs
+            _, _, after = http(server, "/report")
+            assert after == before
