@@ -2,11 +2,14 @@
 
 All figure benchmarks share one :class:`ExperimentContext` per preset so
 simulation cells (workload, policy) are computed once per session — the
-paper's figures reuse the same underlying runs.
+paper's figures reuse the same underlying runs.  Both contexts fan each
+figure's batch out over ``auto_jobs()`` workers, derived from the
+machine; reports are bit-identical to a serial run.
 """
 
 import pytest
 
+from repro.exec.parallel import auto_jobs
 from repro.experiments.runner import ExperimentContext
 
 
@@ -28,13 +31,13 @@ def _isolated_disk_cache(tmp_path_factory):
 @pytest.fixture(scope="session")
 def context():
     """The small HBM-style system, the default for every figure."""
-    return ExperimentContext(preset="small")
+    return ExperimentContext(preset="small", jobs=auto_jobs())
 
 
 @pytest.fixture(scope="session")
 def context_hmc():
     """The HMC-style variant for Fig. 5(b)."""
-    return ExperimentContext(preset="small-hmc")
+    return ExperimentContext(preset="small-hmc", jobs=auto_jobs())
 
 
 def once(benchmark, fn, *args, **kwargs):

@@ -454,15 +454,22 @@ def cmd_compare(context: ExperimentContext, args) -> None:
     thing as the paper's figures (runtime(host) / runtime(policy)),
     independent of registration order.
     """
-    if not args.trace_out:
-        # Batch the whole column so uncached cells share the fan-out
-        # (recorded runs bypass the caches, so prefetching would only
-        # duplicate work when traces were requested).
-        context.run_many(
+    names = sorted(POLICIES)
+    if args.trace_out:
+        # Recorded runs bypass the caches, one traced run per policy.
+        (host,) = context.run_many([context.host_cell(args.workload)])
+        reports = []
+        for name in names:
+            recorder = _new_recorder(context, args.workload, name)
+            reports.append(context.run(args.workload, name, recorder=recorder))
+            path = f"{args.trace_out}.{name}.jsonl"
+            recorder.write_jsonl(path)
+            print(f"[trace] wrote {path}")
+    else:
+        host, *reports = context.run_many(
             [context.host_cell(args.workload)]
-            + [Cell(args.workload, name) for name in sorted(POLICIES)]
+            + [Cell(args.workload, name) for name in names]
         )
-    host = context.run_host(args.workload)
     rows = [
         [
             "host",
@@ -471,23 +478,15 @@ def cmd_compare(context: ExperimentContext, args) -> None:
             f"{host.hits.cache_hit_rate:.3f}",
         ]
     ]
-    for name in sorted(POLICIES):
-        recorder = (
-            _new_recorder(context, args.workload, name) if args.trace_out else None
-        )
-        report = context.run(args.workload, name, recorder=recorder)
-        if recorder is not None:
-            path = f"{args.trace_out}.{name}.jsonl"
-            recorder.write_jsonl(path)
-            print(f"[trace] wrote {path}")
-        rows.append(
-            [
-                name,
-                f"{report.runtime_cycles:.0f}",
-                f"{host.runtime_cycles / report.runtime_cycles:.2f}",
-                f"{report.hits.cache_hit_rate:.3f}",
-            ]
-        )
+    rows += [
+        [
+            name,
+            f"{report.runtime_cycles:.0f}",
+            f"{host.runtime_cycles / report.runtime_cycles:.2f}",
+            f"{report.hits.cache_hit_rate:.3f}",
+        ]
+        for name, report in zip(names, reports)
+    ]
     print(
         render_table(
             ["policy", "cycles", "speedup vs host", "hit rate"],

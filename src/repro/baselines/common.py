@@ -38,7 +38,7 @@ from repro.sim.cachesim import _prev_in_group, direct_mapped_hits
 from repro.sim.engine import DramCachePolicy, ReconfigStats, RequestOutcome
 from repro.sim.params import CACHELINE_BYTES, SystemConfig
 from repro.sim.topology import Topology
-from repro.util.curves import LookaheadState, MissCurve
+from repro.util.curves import RECONFIG_GAIN_THRESHOLD, LookaheadState, MissCurve
 from repro.util.hashing import mix64_array, weighted_bucket_array
 from repro.workloads.trace import Trace, Workload
 
@@ -106,9 +106,6 @@ class PartitionedNucaPolicy(DramCachePolicy):
         # NDP baselines pay DRAM metadata cost; the host's SRAM LLC keeps
         # tags on-chip and sets this False.
         self.metadata_in_dram = metadata_in_dram
-        self._partitions: dict[int, PartitionSpec] = {}
-        self._signatures: dict[int, tuple] = {}
-        self._resident: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- subclass hooks -------------------------------------------------
 
@@ -134,17 +131,19 @@ class PartitionedNucaPolicy(DramCachePolicy):
         self.workload = workload
         self.lines_per_row = max(1, config.ndp_dram.row_bytes // CACHELINE_BYTES)
         self.metadata = MetadataCache(config)
-        self.sampler_params = SamplerParams(
-            sample_sets=config.stream.sampler_sets,
-            capacity_points=config.stream.sampler_points,
-            min_capacity=config.stream.sampler_min_bytes,
-            max_capacity=max(
-                config.stream.sampler_min_bytes * 2, config.total_cache_bytes
-            ),
-        )
-        self._partitions = {}
-        self._signatures = {}
-        self._resident = {}
+        self.sampler_params = SamplerParams.for_config(config)
+        # Every per-run field starts here, so an instance reused for a
+        # second run behaves exactly like a fresh one.
+        self._partitions: dict[int, PartitionSpec] = {}
+        self._signatures: dict[int, tuple] = {}
+        self._resident: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._last_pids: np.ndarray | None = None
+        # Profiling and sizing state of the Jigsaw-family subclasses.
+        self._curves: dict[int, MissCurve] = {}
+        self._weights: dict[int, dict[int, int]] = {}
+        self._importance: dict[int, int] = {}
+        self._smoothed: dict[int, MissCurve] = {}
+        self._installed_sizes: dict[int, int] | None = None
 
     def _interleaved_partition(self, pid: int, read_only: bool = False) -> PartitionSpec:
         units = np.arange(self.config.n_units, dtype=np.int64)
@@ -300,7 +299,8 @@ class PartitionedNucaPolicy(DramCachePolicy):
         rescued = 0
         for pid in np.unique(pids[first_touch]):
             resident = self._resident.get(int(pid))
-            if resident is None:
+            # A fault can leave a partition with no resident lines.
+            if resident is None or not len(resident[0]):
                 continue
             keys = np.sort(_pair_keys(resident[0], resident[1]))
             sel = first_touch & (pids == pid)
@@ -335,30 +335,21 @@ class PartitionedNucaPolicy(DramCachePolicy):
 
     # -- sizing/placement helpers shared by Jigsaw-family baselines -------
 
-    # Same churn guard as the NDPExt runtime: only install a resized
+    # The NDPExt runtime's churn guard: only install a resized
     # partitioning when it predicts a meaningful miss reduction,
     # otherwise bulk invalidation costs outweigh the gain.
-    RECONFIG_GAIN_THRESHOLD = 0.03
+    RECONFIG_GAIN_THRESHOLD = RECONFIG_GAIN_THRESHOLD
 
     def smooth_curve(self, pid: int, fresh: MissCurve) -> MissCurve:
-        """EWMA against the previously stored curve (same capacities)."""
-        previous = getattr(self, "_smoothed", {}).get(pid)
-        if previous is not None and np.array_equal(
-            previous.capacities, fresh.capacities
-        ):
-            fresh = MissCurve(
-                fresh.capacities, 0.5 * previous.misses + 0.5 * fresh.misses
-            )
-        if not hasattr(self, "_smoothed"):
-            self._smoothed = {}
-        self._smoothed[pid] = fresh
-        return fresh
+        """EWMA against the partition's previous curve (same capacities)."""
+        self._smoothed[pid] = fresh.smoothed(self._smoothed.get(pid))
+        return self._smoothed[pid]
 
     def should_install(
         self, curves: dict[int, MissCurve], new_sizes: dict[int, int]
     ) -> bool:
         """Compare predicted misses of the new sizing vs the installed one."""
-        old_sizes = getattr(self, "_installed_sizes", None)
+        old_sizes = self._installed_sizes
         if old_sizes is None:
             return True
 

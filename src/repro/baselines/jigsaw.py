@@ -17,9 +17,9 @@ import numpy as np
 
 from repro.baselines.common import PartitionedNucaPolicy
 from repro.core.sampler import sample_curve
-from repro.sim.params import CACHELINE_BYTES
-from repro.util.curves import MissCurve
-from repro.workloads.trace import Trace
+from repro.sim.params import CACHELINE_BYTES, SystemConfig
+from repro.sim.topology import Topology
+from repro.workloads.trace import Trace, Workload
 
 SHARED_PID = 1 << 11  # partition for lines with no dominant accessor
 DOMINANCE = 0.5  # a core owns a line if it issues > 50% of its accesses
@@ -31,13 +31,10 @@ class JigsawPolicy(PartitionedNucaPolicy):
 
     name = "jigsaw"
 
-    def __init__(self, metadata_in_dram: bool = True) -> None:
-        super().__init__(metadata_in_dram=metadata_in_dram)
+    def setup(self, config: SystemConfig, topology: Topology, workload: Workload) -> None:
+        super().setup(config, topology, workload)
         self._line_owner: tuple[np.ndarray, np.ndarray] | None = None
         self._pending_owner: tuple[np.ndarray, np.ndarray] | None = None
-        self._curves: dict[int, MissCurve] = {}
-        self._weights: dict[int, dict[int, int]] = {}
-        self._importance: dict[int, int] = {}
 
     # -- classification ---------------------------------------------------
 

@@ -14,10 +14,8 @@ import numpy as np
 
 from repro.baselines.common import PartitionedNucaPolicy
 from repro.core.sampler import sample_curve
-from repro.sim.params import CACHELINE_BYTES
+from repro.sim.params import CACHELINE_BYTES, SystemConfig
 from repro.sim.topology import Topology
-from repro.sim.params import SystemConfig
-from repro.util.curves import MissCurve
 from repro.workloads.trace import Trace, Workload
 
 UNCLASSIFIED_PID = 1 << 11  # accesses outside every annotated structure
@@ -27,13 +25,6 @@ class WhirlpoolPolicy(PartitionedNucaPolicy):
     """Data-structure-partitioned D-NUCA (one partition per stream)."""
 
     name = "whirlpool"
-
-    def __init__(self, metadata_in_dram: bool = True) -> None:
-        super().__init__(metadata_in_dram=metadata_in_dram)
-        self._curves: dict[int, MissCurve] = {}
-        self._weights: dict[int, dict[int, int]] = {}
-        self._importance: dict[int, int] = {}
-        self._read_only: dict[int, bool] = {}
 
     def setup(self, config: SystemConfig, topology: Topology, workload: Workload) -> None:
         super().setup(config, topology, workload)

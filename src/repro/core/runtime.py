@@ -28,7 +28,7 @@ from repro.faults import EpochFaults, FaultState
 from repro.sim.engine import DramCachePolicy, ReconfigStats, RequestOutcome
 from repro.sim.params import SystemConfig
 from repro.sim.topology import Topology
-from repro.util.curves import MissCurve
+from repro.util.curves import RECONFIG_GAIN_THRESHOLD, MissCurve
 from repro.workloads.trace import Trace, Workload
 
 
@@ -111,15 +111,8 @@ class NdpExtPolicy(DramCachePolicy):
         self.assigner = SamplerAssigner(
             samplers_per_unit=config.stream.samplers_per_unit
         )
-        self.sampler_params = SamplerParams(
-            sample_sets=self.sampler_sets or config.stream.sampler_sets,
-            capacity_points=config.stream.sampler_points,
-            min_capacity=config.stream.sampler_min_bytes,
-            # A stream (or one replication-group copy) can grow up to the
-            # whole distributed cache, so the curve must span that range.
-            max_capacity=max(
-                config.stream.sampler_min_bytes * 2, config.total_cache_bytes
-            ),
+        self.sampler_params = SamplerParams.for_config(
+            config, sample_sets=self.sampler_sets
         )
         self.configurator = CacheConfigurator(
             topology=topology,
@@ -185,7 +178,7 @@ class NdpExtPolicy(DramCachePolicy):
         """Force the next reconfigurable epoch boundary to reconfigure.
 
         The serving health monitor calls this when hardware degrades:
-        the churn damper (:data:`RECONFIG_GAIN_THRESHOLD`) is bypassed
+        the churn damper (``RECONFIG_GAIN_THRESHOLD``) is bypassed
         for that one boundary so capacity-aware re-placement always
         lands, even when the predicted gain is marginal.  The request
         stays pending while reconfiguration is disabled or no curves
@@ -204,11 +197,8 @@ class NdpExtPolicy(DramCachePolicy):
         """
         self._reconfig_enabled = bool(enabled)
 
-    # Install a new configuration only when it promises at least this
-    # relative miss reduction over the one already in place.  Residual
-    # sampling noise otherwise causes reconfiguration churn whose
-    # invalidations cost more than the marginal gain.
-    RECONFIG_GAIN_THRESHOLD = 0.03
+    # The shared churn damper, rebound here so one instance can override it.
+    RECONFIG_GAIN_THRESHOLD = RECONFIG_GAIN_THRESHOLD
 
     def begin_epoch(self, epoch_idx: int) -> ReconfigStats:
         if not self._reconfig_enabled:
@@ -469,18 +459,7 @@ class NdpExtPolicy(DramCachePolicy):
                     self._curves.pop(sid, None)  # granularity changed
             sampler = MissCurveSampler(stream, self.sampler_params)
             sampler.set_granularity(self.mapper.granularity_of(stream))
-            fresh = sampler.observe(elems)
-            previous = self._curves.get(sid)
-            if previous is not None and np.array_equal(
-                previous.capacities, fresh.capacities
-            ):
-                # Exponential smoothing damps epoch-to-epoch sampling
-                # noise; without it the lookahead order flips between
-                # epochs and the resulting allocation churn costs more
-                # than the reconfiguration gains.
-                fresh = MissCurve(
-                    fresh.capacities, 0.5 * previous.misses + 0.5 * fresh.misses
-                )
+            fresh = sampler.observe(elems).smoothed(self._curves.get(sid))
             self._curves[sid] = fresh
             if self.recorder.enabled:
                 self.recorder.event(

@@ -17,6 +17,7 @@ sample sets, runs a direct-mapped simulation on them, and scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from repro.core.stream import StreamConfig
 from repro.sim.cachesim import direct_mapped_hits
 from repro.util.curves import MissCurve, geometric_capacities
 from repro.util.hashing import mix64_array
+
+if TYPE_CHECKING:
+    from repro.sim.params import SystemConfig
 
 SAMPLER_SET_BYTES = 4  # stored address per sample set
 
@@ -36,6 +40,25 @@ class SamplerParams:
     capacity_points: int = 64  # c
     min_capacity: int = 32 * 1024
     max_capacity: int = 256 * 1024 * 1024
+
+    @classmethod
+    def for_config(
+        cls, config: SystemConfig, sample_sets: int | None = None
+    ) -> SamplerParams:
+        """The samplers ``config`` describes (``sample_sets`` overrides k).
+
+        A stream, a replication-group copy or a NUCA partition can grow
+        up to the whole distributed cache, so the curve spans that range.
+        """
+        stream = config.stream
+        return cls(
+            sample_sets=sample_sets or stream.sampler_sets,
+            capacity_points=stream.sampler_points,
+            min_capacity=stream.sampler_min_bytes,
+            max_capacity=max(
+                stream.sampler_min_bytes * 2, config.total_cache_bytes
+            ),
+        )
 
     @property
     def storage_bytes(self) -> int:

@@ -7,7 +7,9 @@ Public surface:
 * :mod:`repro.exec.tracecache` — mmap-shared trace memoization with
   single-builder locking.
 * :mod:`repro.exec.parallel` — supervised worker-pool execution
-  (retry/timeout/backoff, poison-list quarantine).
+  (retry/timeout/backoff, poison-list quarantine).  Its batch entry
+  point is :func:`~repro.exec.parallel.run_supervised`; experiments
+  reach it only through ``ExperimentContext.run_many``.
 * :mod:`repro.exec.journal` — the fsync'd append-only JSONL journal
   behind sweep manifests (:mod:`repro.exec.checkpoint`) and serve resume.
 
@@ -31,7 +33,6 @@ from repro.exec.parallel import (
     PoolOutcome,
     RetryPolicy,
     auto_jobs,
-    run_cells,
     run_supervised,
 )
 from repro.exec.tracecache import TraceCache, workload_key
@@ -50,7 +51,6 @@ __all__ = [
     "cache_root",
     "cell_key",
     "code_stamp",
-    "run_cells",
     "run_supervised",
     "throwaway_cache_dir",
     "workload_key",

@@ -693,20 +693,3 @@ def run_supervised(
         "pool.run", cat="pool", jobs=supervisor.jobs, cells=len(tasks)
     ):
         return supervisor.run()
-
-
-def run_cells(
-    tasks: Sequence[CellTask],
-    jobs: int = 1,
-    policy: RetryPolicy | None = None,
-) -> list[SimulationReport]:
-    """Simulate every task; returns reports in task order.
-
-    Thin strict wrapper over :func:`run_supervised`: quarantined cells
-    raise :class:`CellExecutionError` (after the rest of the batch has
-    completed) instead of returning partial results.
-    """
-    outcome = run_supervised(tasks, jobs=jobs, policy=policy)
-    if outcome.poisoned:
-        raise CellExecutionError(outcome.poisoned)
-    return outcome.reports

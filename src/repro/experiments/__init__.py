@@ -1,7 +1,11 @@
 """Experiment drivers: one module per paper figure/table.
 
 Each module exposes ``run(...)`` returning structured results and
-printing the paper-comparable rows.  The mapping to the paper:
+printing the paper-comparable rows.  Every driver that simulates takes
+the :class:`ExperimentContext` it runs in as its first argument,
+declares its cells once and reads their reports by position from one
+``context.run_many`` batch (two for the unit-failure sweep, whose
+faulted cells depend on the clean runs).  The mapping to the paper:
 
 ========  ==========================================================
 fig2      Fig. 2(a) latency breakdown, NDP vs NUCA under static
@@ -18,7 +22,6 @@ faults    fault injection & graceful degradation (not a paper figure)
 
 from repro.experiments import faults, fig2, fig4b, fig5, fig6, fig7, fig8, fig9, sec5d
 from repro.experiments.runner import (
-    DEFAULT_CONTEXT,
     POLICIES,
     PRESETS,
     ExperimentContext,
@@ -36,7 +39,6 @@ __all__ = [
     "fig8",
     "fig9",
     "sec5d",
-    "DEFAULT_CONTEXT",
     "POLICIES",
     "PRESETS",
     "ExperimentContext",

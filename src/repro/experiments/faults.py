@@ -19,9 +19,11 @@ narrower links cost more only in proportion to extended-memory traffic.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.baselines import NexusPolicy
 from repro.core import NdpExtPolicy
-from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
+from repro.experiments.runner import Cell, ExperimentContext
 from repro.faults import CxlCrcBurst, CxlLaneDowntrain, FaultSchedule, UnitFailure
 from repro.util import render_table
 
@@ -45,54 +47,51 @@ def _post_failure_cycles(report, fail_epoch: int) -> float:
 
 
 def run_unit_failure(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = WORKLOADS,
     fail_epoch: int = FAIL_EPOCH,
     fail_unit: int = 0,
     verbose: bool = True,
 ) -> dict:
-    context = context or DEFAULT_CONTEXT
-    # Batch the clean runs; the faulted runs depend on each clean run's
-    # epoch count (to place the failure) so they follow per-variant.
-    context.run_many(
+    # Two batches: the faulted runs depend on each clean run's epoch
+    # count (to place the failure), so they follow all the clean ones.
+    clean_cells = [
+        Cell(w, v, policy_factory=f, cache_key=f"faults:{v}")
+        for w in workloads
+        for v, f in VARIANTS.items()
+    ]
+    clean_reports = context.run_many(clean_cells)
+    # Short runs (test scales) have few epochs: strike no later than the
+    # final one so the failure always lands.
+    whens = [
+        max(1, min(fail_epoch, len(clean.per_epoch_cycles) - 1))
+        for clean in clean_reports
+    ]
+    faulted_reports = context.run_many(
         [
-            Cell(w, v, policy_factory=f, cache_key=f"faults:{v}")
-            for w in workloads
-            for v, f in VARIANTS.items()
+            replace(
+                cell,
+                faults=FaultSchedule(
+                    (UnitFailure(epoch=when, unit=fail_unit),), seed=1
+                ),
+            )
+            for cell, when in zip(clean_cells, whens)
         ]
     )
-    result: dict[str, dict] = {}
-    for wname in workloads:
-        row: dict[str, dict] = {}
-        when = fail_epoch
-        for vname, factory in VARIANTS.items():
-            clean = context.run(
-                wname, vname, policy_factory=factory, cache_key=f"faults:{vname}"
-            )
-            # Short runs (test scales) have few epochs: strike no later
-            # than the final one so the failure always lands.
-            when = max(1, min(fail_epoch, len(clean.per_epoch_cycles) - 1))
-            schedule = FaultSchedule(
-                (UnitFailure(epoch=when, unit=fail_unit),), seed=1
-            )
-            faulted = context.run(
-                wname,
-                vname,
-                policy_factory=factory,
-                cache_key=f"faults:{vname}",
-                faults=schedule,
-            )
-            row[vname] = {
-                "clean_cycles": clean.runtime_cycles,
-                "faulted_cycles": faulted.runtime_cycles,
-                "fail_epoch": when,
-                "post_failure_cycles": _post_failure_cycles(faulted, when),
-                "slowdown": faulted.runtime_cycles / clean.runtime_cycles,
-                "demoted": faulted.faults.demoted_requests,
-                "fault_invalidations": faulted.faults.fault_invalidations,
-                "fault_movements": faulted.faults.fault_movements,
-            }
-        result[wname] = row
+    result: dict[str, dict] = {w: {} for w in workloads}
+    for cell, clean, faulted, when in zip(
+        clean_cells, clean_reports, faulted_reports, whens
+    ):
+        result[cell.workload][cell.policy] = {
+            "clean_cycles": clean.runtime_cycles,
+            "faulted_cycles": faulted.runtime_cycles,
+            "fail_epoch": when,
+            "post_failure_cycles": _post_failure_cycles(faulted, when),
+            "slowdown": faulted.runtime_cycles / clean.runtime_cycles,
+            "demoted": faulted.faults.demoted_requests,
+            "fault_invalidations": faulted.faults.fault_invalidations,
+            "fault_movements": faulted.faults.fault_movements,
+        }
     if verbose:
         rows = []
         for wname, row in result.items():
@@ -127,11 +126,10 @@ def run_unit_failure(
 
 
 def run_link_degradation(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = WORKLOADS,
     verbose: bool = True,
 ) -> dict:
-    context = context or DEFAULT_CONTEXT
     lanes = context.config.cxl.lanes
     scenarios = {
         "crc-burst": FaultSchedule(
@@ -145,23 +143,22 @@ def run_link_degradation(
         ),
     }
     schedules = [None] + list(scenarios.values())
-    context.run_many(
+    reports = context.run_many(
         [Cell(w, "ndpext", faults=s) for w in workloads for s in schedules]
     )
     result: dict[str, dict] = {}
-    for wname in workloads:
-        clean = context.run(wname, "ndpext")
-        row: dict[str, dict] = {}
-        for sname, schedule in scenarios.items():
-            faulted = context.run(wname, "ndpext", faults=schedule)
-            row[sname] = {
-                "slowdown": faulted.runtime_cycles / clean.runtime_cycles,
-                "crc_retries": faulted.faults.crc_retries,
-                "crc_reissues": faulted.faults.crc_reissues,
-                "penalty_ns": faulted.faults.penalty_ns,
-                "min_lanes": faulted.faults.min_lanes,
+    for i, wname in enumerate(workloads):
+        clean, *faulted = reports[i * len(schedules) : (i + 1) * len(schedules)]
+        result[wname] = {
+            sname: {
+                "slowdown": report.runtime_cycles / clean.runtime_cycles,
+                "crc_retries": report.faults.crc_retries,
+                "crc_reissues": report.faults.crc_reissues,
+                "penalty_ns": report.faults.penalty_ns,
+                "min_lanes": report.faults.min_lanes,
             }
-        result[wname] = row
+            for sname, report in zip(scenarios, faulted)
+        }
     if verbose:
         rows = [
             [
@@ -194,8 +191,7 @@ def run_link_degradation(
     return result
 
 
-def run(context: ExperimentContext | None = None, verbose: bool = True) -> dict:
-    context = context or DEFAULT_CONTEXT
+def run(context: ExperimentContext, verbose: bool = True) -> dict:
     return {
         "unit_failure": run_unit_failure(context, verbose=verbose),
         "link_degradation": run_link_degradation(context, verbose=verbose),

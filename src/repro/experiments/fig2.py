@@ -15,7 +15,7 @@ hit rate NDP >> NUCA; next-level-memory fraction NUCA >> NDP.
 from __future__ import annotations
 
 from repro.baselines import StaticNucaPolicy, host_config
-from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
+from repro.experiments.runner import Cell, ExperimentContext
 from repro.util import render_table
 
 WORKLOAD = "pr"
@@ -36,8 +36,7 @@ def _fig2_nuca_config(context: ExperimentContext):
     )
 
 
-def run(context: ExperimentContext | None = None, verbose: bool = True) -> dict:
-    context = context or DEFAULT_CONTEXT
+def run(context: ExperimentContext, verbose: bool = True) -> dict:
     ndp, nuca = context.run_many(
         [
             Cell(WORKLOAD, "static-nuca"),

@@ -17,7 +17,6 @@ Shapes to check (absolute factors differ at reduced scale):
 from __future__ import annotations
 
 from repro.experiments.runner import (
-    DEFAULT_CONTEXT,
     ExperimentContext,
     add_geomean_row,
     speedup_table,
@@ -29,11 +28,10 @@ POLICIES = ["jigsaw", "whirlpool", "nexus", "ndpext-static", "ndpext"]
 
 
 def run(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = SUITE,
     verbose: bool = True,
 ) -> dict:
-    context = context or DEFAULT_CONTEXT
     table = speedup_table(context, list(workloads), POLICIES, baseline="host")
     table = add_geomean_row(table)
     if verbose:

@@ -12,7 +12,7 @@ share falls.
 
 from __future__ import annotations
 
-from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
+from repro.experiments.runner import Cell, ExperimentContext
 from repro.util import render_table
 from repro.workloads import SUITE
 
@@ -20,18 +20,15 @@ COMPONENTS = ("static_nj", "sram_nj", "ndp_dram_nj", "noc_nj", "cxl_nj", "ext_dr
 
 
 def run(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = SUITE,
     verbose: bool = True,
 ) -> dict:
-    context = context or DEFAULT_CONTEXT
-    context.run_many(
+    reports = context.run_many(
         [Cell(w, p) for w in workloads for p in ("nexus", "ndpext")]
     )
     result: dict[str, dict] = {}
-    for wname in workloads:
-        nexus = context.run(wname, "nexus")
-        ndpext = context.run(wname, "ndpext")
+    for wname, nexus, ndpext in zip(workloads, reports[0::2], reports[1::2]):
         norm = nexus.energy.total_nj or 1.0
         result[wname] = {
             "nexus": {c: getattr(nexus.energy, c) / norm for c in COMPONENTS},

@@ -17,25 +17,22 @@ baseline metadata hit penalty is much larger for graph workloads.
 
 from __future__ import annotations
 
-from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
+from repro.experiments.runner import Cell, ExperimentContext
 from repro.util import render_table
 
 WORKLOADS = ("recsys", "mv", "hotspot", "pathfinder", "pr", "bfs", "cc", "tc")
 
 
 def run(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = WORKLOADS,
     verbose: bool = True,
 ) -> dict:
-    context = context or DEFAULT_CONTEXT
-    context.run_many(
+    reports = context.run_many(
         [Cell(w, p) for w in workloads for p in ("nexus", "ndpext")]
     )
     result: dict[str, dict] = {}
-    for wname in workloads:
-        nexus = context.run(wname, "nexus")
-        ndpext = context.run(wname, "ndpext")
+    for wname, nexus, ndpext in zip(workloads, reports[0::2], reports[1::2]):
         result[wname] = {
             "nexus_ic_ns": nexus.avg_interconnect_ns,
             "ndpext_ic_ns": ndpext.avg_interconnect_ns,

@@ -21,7 +21,7 @@ normalized to the paper's default:
 from __future__ import annotations
 
 from repro.core import NdpExtPolicy
-from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
+from repro.experiments.runner import Cell, ExperimentContext
 from repro.util import geomean, render_table
 from repro.workloads import REPRESENTATIVE
 
@@ -30,6 +30,19 @@ BLOCK_BYTES = (256, 512, 1024, 2048, 4096)
 AFFINE_SPACES = ("quarter", "half", "default", "unlimited")
 SAMPLER_SETS = (8, 32, 256)
 INTERVALS = (1, 2, 4)
+
+
+def _case_runtimes(
+    context: ExperimentContext, cells_by_case: dict[str, list[Cell]]
+) -> dict[str, float]:
+    """Geomean runtime per case; every case's cells go in one batch."""
+    reports = iter(
+        context.run_many([c for cells in cells_by_case.values() for c in cells])
+    )
+    return {
+        case: geomean([next(reports).runtime_cycles for _ in cells])
+        for case, cells in cells_by_case.items()
+    }
 
 
 def _sweep(
@@ -41,30 +54,21 @@ def _sweep(
     paper_note: str,
 ) -> dict[str, float]:
     """Run NdpExtPolicy under parameter overrides; normalize to 'default'."""
-    context.run_many(
-        [
-            Cell(
-                wname,
-                "ndpext",
-                policy_factory=lambda kw=kwargs: NdpExtPolicy(**kw),
-                cache_key=f"{label}:{case}",
-            )
+    runtimes = _case_runtimes(
+        context,
+        {
+            case: [
+                Cell(
+                    wname,
+                    "ndpext",
+                    policy_factory=lambda kw=kwargs: NdpExtPolicy(**kw),
+                    cache_key=f"{label}:{case}",
+                )
+                for wname in workloads
+            ]
             for case, kwargs in cases.items()
-            for wname in workloads
-        ]
+        },
     )
-    runtimes: dict[str, float] = {}
-    for case, kwargs in cases.items():
-        per_workload = []
-        for wname in workloads:
-            report = context.run(
-                wname,
-                "ndpext",
-                policy_factory=lambda kw=kwargs: NdpExtPolicy(**kw),
-                cache_key=f"{label}:{case}",
-            )
-            per_workload.append(report.runtime_cycles)
-        runtimes[case] = geomean(per_workload)
     base = runtimes.get("default") or next(iter(runtimes.values()))
     normalized = {case: base / runtime for case, runtime in runtimes.items()}
     if verbose:
@@ -75,11 +79,10 @@ def _sweep(
 
 
 def run_associativity(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = REPRESENTATIVE,
     verbose: bool = True,
 ) -> dict[str, float]:
-    context = context or DEFAULT_CONTEXT
     cases = {
         ("default" if w == 1 else f"{w}-way"): {"indirect_ways": w}
         for w in INDIRECT_WAYS
@@ -91,11 +94,10 @@ def run_associativity(
 
 
 def run_block_size(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = REPRESENTATIVE,
     verbose: bool = True,
 ) -> dict[str, float]:
-    context = context or DEFAULT_CONTEXT
     cases = {
         ("default" if b == 1024 else f"{b}B"): {"affine_block_bytes": b}
         for b in BLOCK_BYTES
@@ -111,11 +113,10 @@ def run_block_size(
 
 
 def run_affine_space(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = ("mv", "gnn", "hotspot", "pr"),
     verbose: bool = True,
 ) -> dict[str, float]:
-    context = context or DEFAULT_CONTEXT
     base_space = context.config.stream.affine_space_bytes
     spaces = {
         "quarter": base_space // 4,
@@ -134,20 +135,13 @@ def run_affine_space(
         )
         for case, space in spaces.items()
     }
-    context.run_many(
-        [
-            Cell(wname, "ndpext", config=config)
-            for config in configs.values()
-            for wname in workloads
-        ]
+    runtimes = _case_runtimes(
+        context,
+        {
+            case: [Cell(wname, "ndpext", config=config) for wname in workloads]
+            for case, config in configs.items()
+        },
     )
-    runtimes: dict[str, float] = {}
-    for case, config in configs.items():
-        per_workload = [
-            context.run(wname, "ndpext", config=config).runtime_cycles
-            for wname in workloads
-        ]
-        runtimes[case] = geomean(per_workload)
     normalized = {c: runtimes["default"] / r for c, r in runtimes.items()}
     if verbose:
         rows = [[c, f"{x:.3f}"] for c, x in normalized.items()]
@@ -157,11 +151,10 @@ def run_affine_space(
 
 
 def run_sampler_sets(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = REPRESENTATIVE,
     verbose: bool = True,
 ) -> dict[str, float]:
-    context = context or DEFAULT_CONTEXT
     default_k = context.config.stream.sampler_sets
     cases = {
         ("default" if k == default_k else f"k={k}"): {"sampler_sets": k}
@@ -174,27 +167,35 @@ def run_sampler_sets(
 
 
 def run_reconfig_method(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = ("mv", "pr", "recsys", "bfs", "backprop", "bc"),
     verbose: bool = True,
 ) -> dict[str, dict[str, float]]:
-    context = context or DEFAULT_CONTEXT
     methods = {
         "static": {"mode": "static"},
         "partial": {"mode": "partial", "partial_epochs": 2},
         "full": {"mode": "full"},
     }
-    result: dict[str, dict[str, float]] = {}
-    for wname in workloads:
-        runtimes = {}
-        for method, kwargs in methods.items():
-            report = context.run(
+    reports = context.run_many(
+        [
+            Cell(
                 wname,
                 "ndpext",
                 policy_factory=lambda kw=kwargs: NdpExtPolicy(**kw),
                 cache_key=f"method:{method}",
             )
-            runtimes[method] = report.runtime_cycles
+            for wname in workloads
+            for method, kwargs in methods.items()
+        ]
+    )
+    result: dict[str, dict[str, float]] = {}
+    for i, wname in enumerate(workloads):
+        runtimes = {
+            method: report.runtime_cycles
+            for method, report in zip(
+                methods, reports[i * len(methods) : (i + 1) * len(methods)]
+            )
+        }
         result[wname] = {
             m: runtimes["full"] / r for m, r in runtimes.items()
         }
@@ -214,11 +215,10 @@ def run_reconfig_method(
 
 
 def run_reconfig_interval(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = ("pr", "recsys", "bfs"),
     verbose: bool = True,
 ) -> dict[str, float]:
-    context = context or DEFAULT_CONTEXT
     cases = {
         ("default" if i == 1 else f"x{i}"): {"reconfig_interval": i}
         for i in INTERVALS

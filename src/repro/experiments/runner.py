@@ -2,13 +2,19 @@
 
 Every figure/table reproduction builds on the same three ingredients: a
 system preset, a workload scale, and a set of policies.  This module
-centralizes policy construction, runs simulations behind a two-layer
+centralizes policy construction and runs simulations behind a two-layer
 result cache — a bounded in-process LRU plus the persistent
 content-addressed store of :mod:`repro.exec.cache` (experiments share
 many (workload, policy) cells: Fig. 5, 6 and 7 all need the Nexus runs,
-and repeated invocations reuse whole suites across processes) — fans
-batches of cells across cores via :mod:`repro.exec.parallel`, and
-provides the speedup arithmetic the paper's figures report.
+and repeated invocations reuse whole suites across processes).
+
+One batch per experiment: a figure or verb declares its cells once as a
+list of :class:`Cell` and reads the reports by position from the list
+:meth:`ExperimentContext.run_many` returns, so every uncached cell fans
+out across the supervised pool of :mod:`repro.exec.parallel`.
+:meth:`ExperimentContext.run` is the single-cell form of the same call
+(plus the cache-bypassing recorded run).  The module also provides the
+speedup arithmetic the paper's figures report.
 """
 
 from __future__ import annotations
@@ -272,7 +278,7 @@ class ExperimentContext:
             if disk is not None:
                 disk.put(key, report)
 
-    def _task(self, cell: Cell, prebuild: bool = True) -> CellTask:
+    def _task(self, cell: Cell, prebuild: bool) -> CellTask:
         """Turn a cell into a ready-to-run task.
 
         With ``prebuild=False`` (parallel batches) the workload is left
@@ -319,13 +325,25 @@ class ExperimentContext:
         faults: FaultSchedule | None = None,
         recorder: NullRecorder | None = None,
     ) -> SimulationReport:
-        """Run (or fetch) one simulation cell.
+        """Run (or fetch) one simulation cell: ``run_many`` of one.
 
         A live ``recorder`` bypasses both result-cache layers entirely:
         the caller wants this run's event trace, which a cached report
         does not carry (and the recorded run must not poison the caches
         for trace-free callers either).
         """
+        if recorder is not None and recorder.enabled:
+            recorder.counter("runner.recorded_runs")
+            workload = self.workload(workload_name, scale, recorder=recorder)
+            factory = policy_factory or POLICIES[policy_name]
+            engine = SimulationEngine(
+                config if config is not None else self.config,
+                EngineOptions(backend=self.backend),
+                faults=faults,
+                recorder=recorder,
+            )
+            with recorder.span("runner.recorded_run"):
+                return engine.run(workload, factory())
         cell = Cell(
             workload=workload_name,
             policy=policy_name,
@@ -335,26 +353,7 @@ class ExperimentContext:
             cache_key=cache_key,
             faults=faults,
         )
-        recording = recorder is not None and recorder.enabled
-        if recording:
-            recorder.counter("runner.recorded_runs")
-            workload = self.workload(workload_name, scale, recorder=recorder)
-            factory = policy_factory or POLICIES[policy_name]
-            engine = SimulationEngine(
-                cell.config if cell.config is not None else self.config,
-                EngineOptions(backend=self.backend),
-                faults=faults,
-                recorder=recorder,
-            )
-            with recorder.span("runner.recorded_run"):
-                return engine.run(workload, factory())
-        key = self._cell_key(cell)
-        report = self._lookup(key, recorder)
-        if report is not None:
-            return report
-        report = self._task(cell).run()
-        self._store(key, report)
-        return report
+        return self.run_many([cell], jobs=1, recorder=recorder)[0]
 
     def run_many(
         self,
@@ -482,27 +481,6 @@ class ExperimentContext:
             scale=scale,
         )
 
-    def run_host(
-        self,
-        workload_name: str,
-        scale: WorkloadScale | None = None,
-        recorder: NullRecorder | None = None,
-    ) -> SimulationReport:
-        """The non-NDP host baseline for the same workload."""
-        return self.run(
-            workload_name,
-            "host",
-            config=host_config(self.config),
-            policy_factory=HostJigsawPolicy,
-            scale=scale,
-            recorder=recorder,
-        )
-
-
-# A module-level default context so benchmarks share cached results
-# within one pytest session.
-DEFAULT_CONTEXT = ExperimentContext()
-
 
 def speedup_table(
     context: ExperimentContext,
@@ -515,40 +493,29 @@ def speedup_table(
     Mirrors Fig. 5's normalization: every bar is runtime(baseline) /
     runtime(policy).
     """
-    # Prefetch the whole grid in one batch so uncached cells fan out
-    # across the context's `jobs` workers; the loop below then only
-    # reads the in-process cache.
-    grid = [
-        context.host_cell(wname) if baseline == "host" else Cell(wname, baseline)
-        for wname in workload_names
-    ]
-    grid += [
-        Cell(wname, pname)
-        for wname in workload_names
-        for pname in policy_names
-    ]
-    context.run_many(grid)
-    table: dict[str, dict[str, float]] = {}
+    # One row per workload, baseline first: a single batch, so uncached
+    # cells fan out across the context's `jobs` workers.
+    stride = 1 + len(policy_names)
+    grid: list[Cell] = []
     for wname in workload_names:
-        base = (
-            context.run_host(wname)
-            if baseline == "host"
-            else context.run(wname, baseline)
+        grid.append(
+            context.host_cell(wname) if baseline == "host" else Cell(wname, baseline)
         )
-        if base.runtime_cycles <= 0:
+        grid += [Cell(wname, pname) for pname in policy_names]
+    reports = context.run_many(grid)
+    for cell, report in zip(grid, reports):
+        if report.runtime_cycles <= 0:
             raise ValueError(
-                f"baseline {baseline!r} on {wname!r} reported "
-                f"non-positive runtime ({base.runtime_cycles}); cannot normalize"
+                f"{cell.policy!r} on {cell.workload!r} reported non-positive "
+                f"runtime ({report.runtime_cycles}); cannot normalize"
             )
-        table[wname] = {}
-        for pname in policy_names:
-            report = context.run(wname, pname)
-            if report.runtime_cycles <= 0:
-                raise ValueError(
-                    f"policy {pname!r} on {wname!r} reported non-positive "
-                    f"runtime ({report.runtime_cycles}); cannot normalize"
-                )
-            table[wname][pname] = base.runtime_cycles / report.runtime_cycles
+    table: dict[str, dict[str, float]] = {}
+    for i, wname in enumerate(workload_names):
+        base, *row = reports[i * stride : (i + 1) * stride]
+        table[wname] = {
+            pname: base.runtime_cycles / report.runtime_cycles
+            for pname, report in zip(policy_names, row)
+        }
     return table
 
 

@@ -15,7 +15,7 @@ slower; the speedup is a few percent.
 from __future__ import annotations
 
 from repro.core import NdpExtPolicy
-from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
+from repro.experiments.runner import Cell, ExperimentContext
 from repro.util import geomean, render_table
 
 WORKLOADS = ("pr", "recsys", "bfs", "cc", "gnn")
@@ -37,26 +37,14 @@ def _cells(workloads) -> list[Cell]:
 
 
 def run(
-    context: ExperimentContext | None = None,
+    context: ExperimentContext,
     workloads: tuple[str, ...] = WORKLOADS,
     verbose: bool = True,
 ) -> dict:
-    context = context or DEFAULT_CONTEXT
-    context.run_many(_cells(workloads))
+    reports = context.run_many(_cells(workloads))
     result: dict[str, dict] = {}
-    for wname in workloads:
-        consistent = context.run(
-            wname,
-            "ndpext",
-            policy_factory=lambda: NdpExtPolicy(placement="consistent"),
-            cache_key="placement:consistent",
-        )
-        bulk = context.run(
-            wname,
-            "ndpext",
-            policy_factory=lambda: NdpExtPolicy(placement="hash"),
-            cache_key="placement:hash",
-        )
+    # _cells lists PLACEMENTS (consistent, hash) per workload.
+    for wname, consistent, bulk in zip(workloads, reports[0::2], reports[1::2]):
         result[wname] = {
             "bulk_invalidations": bulk.reconfig_invalidations,
             "consistent_invalidations": consistent.reconfig_invalidations,

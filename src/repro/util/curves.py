@@ -14,6 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Install a new cache configuration only when it promises at least this
+# relative miss reduction over the one already in place.  Residual
+# sampling noise otherwise causes reconfiguration churn whose
+# invalidations cost more than the marginal gain.  NDPExt's runtime and
+# the NUCA baselines share this churn damper.
+RECONFIG_GAIN_THRESHOLD = 0.03
+
 
 def geometric_capacities(lo: int, hi: int, points: int) -> np.ndarray:
     """Geometrically spaced capacities from ``lo`` to ``hi`` inclusive.
@@ -71,6 +78,22 @@ class MissCurve:
         utility, for which a monotone curve is the first step.
         """
         return MissCurve(self.capacities, np.minimum.accumulate(self.misses))
+
+    def smoothed(self, previous: "MissCurve | None") -> "MissCurve":
+        """0.5/0.5 EWMA against ``previous`` when it has the same capacities.
+
+        Exponential smoothing damps epoch-to-epoch sampling noise;
+        without it the lookahead order flips between epochs and the
+        resulting allocation churn costs more than the reconfiguration
+        gains.  Returns ``self`` when there is nothing to smooth against.
+        """
+        if previous is None or not np.array_equal(
+            previous.capacities, self.capacities
+        ):
+            return self
+        return MissCurve(
+            self.capacities, 0.5 * previous.misses + 0.5 * self.misses
+        )
 
     def scaled(self, factor: float) -> "MissCurve":
         """Scale miss counts by ``factor`` (the paper's K/k set scaling)."""

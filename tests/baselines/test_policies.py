@@ -12,6 +12,7 @@ from repro.baselines import (
     WhirlpoolPolicy,
     host_config,
 )
+from repro.experiments.runner import POLICIES
 from repro.sim import SimulationEngine
 from repro.sim.params import tiny
 from repro.workloads import TINY, build
@@ -108,6 +109,17 @@ class TestNexus:
         ]
         assert replicated
 
+    def test_unit_failure_that_empties_a_partition(self, config):
+        # On tiny mv a unit-0 failure at epoch 2 takes every resident
+        # line of one partition; the next warm-start rescue must skip it.
+        from repro.faults import FaultSchedule, UnitFailure
+
+        schedule = FaultSchedule((UnitFailure(epoch=2, unit=0),), seed=1)
+        report = SimulationEngine(config, faults=schedule).run(
+            build("mv", TINY), NexusPolicy()
+        )
+        assert report.runtime_cycles > 0
+
 
 class TestHost:
     def test_host_config_shape(self, config):
@@ -131,3 +143,19 @@ class TestHost:
             workload, HostJigsawPolicy()
         )
         assert ndp.runtime_cycles < host.runtime_cycles
+
+
+class TestReusedInstance:
+    """A policy instance run twice must not carry state between runs."""
+
+    @pytest.mark.parametrize("name", sorted(POLICIES) + ["host"])
+    def test_second_run_matches_fresh_instance(self, config, workload, name):
+        if name == "host":
+            factory, system = HostJigsawPolicy, host_config(config)
+        else:
+            factory, system = POLICIES[name], config
+        reused = factory()
+        SimulationEngine(system).run(build("mv", TINY), reused)
+        again = SimulationEngine(system).run(workload, reused)
+        fresh = SimulationEngine(system).run(workload, factory())
+        assert again.to_json() == fresh.to_json()

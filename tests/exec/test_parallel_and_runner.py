@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import NdpExtPolicy
-from repro.exec.parallel import CellTask, fork_available, run_cells
+from repro.exec.parallel import CellTask, fork_available, run_supervised
 from repro.experiments import runner
 from repro.experiments.runner import Cell, ExperimentContext
 from repro.sim import SimulationEngine, tiny
@@ -25,7 +25,7 @@ GRID = [
 ]
 
 
-class TestRunCells:
+class TestRunSupervised:
     def test_parallel_bit_identical_to_serial(self):
         config = tiny()
         workload = build("pr", TINY)
@@ -33,10 +33,11 @@ class TestRunCells:
             CellTask(workload, config, NdpExtPolicy),
             CellTask(workload, config, lambda: NdpExtPolicy(mode="static")),
         ]
-        serial = run_cells(tasks, jobs=1)
-        parallel = run_cells(tasks, jobs=2)
-        assert len(serial) == len(parallel) == 2
-        for a, b in zip(serial, parallel):
+        serial = run_supervised(tasks, jobs=1)
+        parallel = run_supervised(tasks, jobs=2)
+        assert not serial.poisoned and not parallel.poisoned
+        assert len(serial.reports) == len(parallel.reports) == 2
+        for a, b in zip(serial.reports, parallel.reports):
             assert_reports_identical(a, b)
 
     def test_jobs_one_never_forks(self, monkeypatch):
@@ -48,8 +49,10 @@ class TestRunCells:
         monkeypatch.setattr(multiprocessing, "get_context", boom)
         config = tiny()
         workload = build("pr", TINY)
-        reports = run_cells([CellTask(workload, config, NdpExtPolicy)], jobs=1)
-        assert reports[0].runtime_cycles > 0
+        outcome = run_supervised(
+            [CellTask(workload, config, NdpExtPolicy)], jobs=1
+        )
+        assert outcome.reports[0].runtime_cycles > 0
 
 
 class TestRunMany:

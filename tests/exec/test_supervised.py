@@ -16,7 +16,6 @@ from repro.exec.parallel import (
     CellTask,
     RetryPolicy,
     fork_available,
-    run_cells,
     run_supervised,
     schedule_order,
 )
@@ -124,7 +123,7 @@ class TestScheduleOrder:
 class TestChaosKills:
     @needs_fork
     def test_sigkilled_workers_recover_bit_identical(self, monkeypatch):
-        serial = run_cells(_grid_tasks(), jobs=1)
+        serial = run_supervised(_grid_tasks(), jobs=1).reports
         # Every worker SIGKILLs itself before the first attempt of every
         # even-indexed cell: two deaths, two retries, zero lost results.
         monkeypatch.setenv(CHAOS_KILL_ENV, "2")
@@ -217,16 +216,17 @@ class TestRetries:
 
 
 class TestPoisonList:
-    def test_strict_raises_after_batch_completes(self):
-        workload = build("pr", TINY)
-        config = tiny()
-        bad = CellTask(workload, config, _always_boom, label="pr/bad")
-        good = CellTask(workload, config, NdpExtPolicy, label="pr/good")
-        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.001)
+    def test_strict_raises_after_batch_completes(self, cache_dir):
+        context = ExperimentContext(preset="tiny", max_retries=1)
+        bad = Cell("pr", "bad", policy_factory=_always_boom)
+        good = Cell("pr", "ndpext")
         with pytest.raises(CellExecutionError) as err:
-            run_cells([bad, good], jobs=1, policy=policy)
+            context.run_many([bad, good], jobs=1)
         assert "pr/bad" in str(err.value)
         assert "ValueError" in str(err.value)
+        # The good cell still completed and was cached before the raise.
+        context.run_many([good], jobs=1)
+        assert context.cache_hits_mem == 1
 
     def test_non_strict_returns_placeholders(self):
         workload = build("pr", TINY)

@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.experiments import fig2, fig4b, fig5, fig6, fig7, fig8, fig9, sec5d
+from repro.experiments import (
+    faults,
+    fig2,
+    fig4b,
+    fig5,
+    fig6,
+    fig7,
+    fig8,
+    fig9,
+    runner,
+    sec5d,
+)
 from repro.experiments.runner import (
     ExperimentContext,
     add_geomean_row,
@@ -72,7 +83,7 @@ class TestRunner:
         assert extended["geomean"]["p"] == pytest.approx(4.0)
 
     def test_host_runs(self, context):
-        report = context.run_host("pr")
+        (report,) = context.run_many([context.host_cell("pr")])
         assert report.runtime_cycles > 0
 
 
@@ -128,3 +139,33 @@ class TestFigureDrivers:
         assert row["consistent_invalidations"] <= row["bulk_invalidations"] or (
             row["bulk_invalidations"] == 0
         )
+
+
+class TestOneBatchPerFigure:
+    """Every uncached cell of a figure reaches the pool in one batch."""
+
+    @pytest.fixture()
+    def batches(self, monkeypatch, tmp_path):
+        # A private cold cache: cells cached by other tests would shrink
+        # the batches.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        sizes: list[int] = []
+        supervised = runner.run_supervised
+
+        def recording(tasks, *args, **kwargs):
+            sizes.append(len(tasks))
+            return supervised(tasks, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_supervised", recording)
+        return sizes
+
+    def test_reconfig_method_is_one_batch(self, batches):
+        context = ExperimentContext(preset="tiny", jobs=2)
+        fig9.run_reconfig_method(context, workloads=("pr", "mv"), verbose=False)
+        assert batches == [2 * 3]  # workloads x (static, partial, full)
+
+    def test_unit_failure_faults_in_one_batch(self, batches):
+        context = ExperimentContext(preset="tiny", jobs=2)
+        faults.run_unit_failure(context, workloads=("pr", "mv"), verbose=False)
+        cells = 2 * len(faults.VARIANTS)
+        assert batches == [cells, cells]  # all clean, then all faulted
