@@ -353,10 +353,12 @@ class PartitionedNucaPolicy(DramCachePolicy):
         if old_sizes is None:
             return True
 
+        monotone = {pid: curve.monotone() for pid, curve in curves.items()}
+
         def predicted(sizes: dict[int, int]) -> float:
             return sum(
-                curve.monotone().misses_at(sizes.get(pid, 0))
-                for pid, curve in curves.items()
+                curve.misses_at(sizes.get(pid, 0))
+                for pid, curve in monotone.items()
             )
 
         return predicted(new_sizes) < predicted(old_sizes) * (

@@ -60,17 +60,18 @@ class NexusPolicy(WhirlpoolPolicy):
             return 1
         sizes = self.lookahead_sizes(self._curves, self.config.total_cache_bytes)
         penalty = self._miss_penalty_ns()
+        monotone = {pid: curve.monotone() for pid, curve in self._curves.items()}
 
         def predicted_cost(degree: int) -> float:
             hop_ns = self._avg_distance_ns(degree)
             cost = 0.0
-            for pid, curve in self._curves.items():
+            for pid, curve in monotone.items():
                 accesses = self._importance.get(pid, 0)
                 size = sizes.get(pid, 0)
                 if pid in read_only:
-                    misses = curve.monotone().misses_at(max(1, size // degree))
+                    misses = curve.misses_at(max(1, size // degree))
                 else:
-                    misses = curve.monotone().misses_at(max(1, size))
+                    misses = curve.misses_at(max(1, size))
                 hits = max(0.0, accesses - misses)
                 cost += misses * penalty + hits * 2.0 * hop_ns
             return cost

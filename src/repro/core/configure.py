@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.remap import NO_GROUP, StreamAllocation
 from repro.core.stream import StreamConfig
+from repro.obs.tracing import current
 from repro.sim.topology import Topology
 from repro.util.curves import LookaheadState, MissCurve
 
@@ -134,66 +135,67 @@ class CacheConfigurator:
         names streams annotated read-only that have been written (the
         mapper's write exception): they are placed as a single copy.
         """
-        self._streams = streams
-        self._write_excepted = write_excepted or set()
-        self._acc_units = {
-            sid: sorted(set(units)) for sid, units in acc_units.items()
-        }
-        self._acc_counts = acc_counts or {}
-        if unit_capacity is not None:
-            self._free = np.asarray(unit_capacity, dtype=np.int64).copy()
-            if len(self._free) != self.n_units:
-                raise ValueError("unit_capacity must have one entry per unit")
-        else:
-            self._free = np.full(self.n_units, self.rows_per_unit, dtype=np.int64)
-        self._affine_used = np.zeros(self.n_units, dtype=np.int64)
-        self._groups: dict[int, list[Group]] = {}
-        exhausted: set[int] = set()
-
-        usable = {
-            sid: curve.monotone()
-            for sid, curve in curves.items()
-            if self._acc_units.get(sid)
-        }
-        state = LookaheadState(usable)
-        for sid in curves:
-            if not self._acc_units.get(sid):
-                exhausted.add(sid)
-
-        iterations = 0
-        while iterations < self.max_iterations:
-            segment = state.next_steepest_segment(exclude=exhausted)
-            if segment is None:
-                break
-            iterations += 1
-            sid = segment.stream_id
-            need_rows = max(1, math.ceil(segment.size / self.row_bytes))
-            if sid not in self._groups:
-                self._create_groups(sid)
-            fully_placed = True
-            for group in list(self._groups[sid]):
-                if group not in self._groups[sid]:
-                    continue  # consumed by a merge triggered this iteration
-                remaining = self._place_in_group(group, need_rows)
-                if remaining > 0:
-                    remaining = self._extend_or_merge(group, remaining)
-                if remaining > 0:
-                    fully_placed = False
-            if fully_placed and self._groups[sid]:
-                state.commit(segment)
+        with current().span("policy.configure"):
+            self._streams = streams
+            self._write_excepted = write_excepted or set()
+            self._acc_units = {
+                sid: sorted(set(units)) for sid, units in acc_units.items()
+            }
+            self._acc_counts = acc_counts or {}
+            if unit_capacity is not None:
+                self._free = np.asarray(unit_capacity, dtype=np.int64).copy()
+                if len(self._free) != self.n_units:
+                    raise ValueError("unit_capacity must have one entry per unit")
             else:
-                exhausted.add(sid)
+                self._free = np.full(self.n_units, self.rows_per_unit, dtype=np.int64)
+            self._affine_used = np.zeros(self.n_units, dtype=np.int64)
+            self._groups: dict[int, list[Group]] = {}
+            exhausted: set[int] = set()
 
-        allocations = self._finalize(streams, curves)
-        replication = {
-            sid: max(1, len(groups)) for sid, groups in self._groups.items()
-        }
-        return ConfigResult(
-            allocations=allocations,
-            iterations=iterations,
-            exhausted=exhausted,
-            replication_degree=replication,
-        )
+            usable = {
+                sid: curve.monotone()
+                for sid, curve in curves.items()
+                if self._acc_units.get(sid)
+            }
+            state = LookaheadState(usable)
+            for sid in curves:
+                if not self._acc_units.get(sid):
+                    exhausted.add(sid)
+
+            iterations = 0
+            while iterations < self.max_iterations:
+                segment = state.next_steepest_segment(exclude=exhausted)
+                if segment is None:
+                    break
+                iterations += 1
+                sid = segment.stream_id
+                need_rows = max(1, math.ceil(segment.size / self.row_bytes))
+                if sid not in self._groups:
+                    self._create_groups(sid)
+                fully_placed = True
+                for group in list(self._groups[sid]):
+                    if group not in self._groups[sid]:
+                        continue  # consumed by a merge triggered this iteration
+                    remaining = self._place_in_group(group, need_rows)
+                    if remaining > 0:
+                        remaining = self._extend_or_merge(group, remaining)
+                    if remaining > 0:
+                        fully_placed = False
+                if fully_placed and self._groups[sid]:
+                    state.commit(segment)
+                else:
+                    exhausted.add(sid)
+
+            allocations = self._finalize(streams, curves)
+            replication = {
+                sid: max(1, len(groups)) for sid, groups in self._groups.items()
+            }
+            return ConfigResult(
+                allocations=allocations,
+                iterations=iterations,
+                exhausted=exhausted,
+                replication_degree=replication,
+            )
 
     # ------------------------------------------------------------------
     # Group creation and placement

@@ -213,12 +213,7 @@ class ExperimentContext:
         self.quarantined_cells = 0
         self.resumed_cells = 0
 
-    def workload(
-        self,
-        name: str,
-        scale: WorkloadScale | None = None,
-        recorder: NullRecorder | None = None,
-    ) -> Workload:
+    def workload(self, name: str, scale: WorkloadScale | None = None) -> Workload:
         scale = scale or self.scale
         key = (name, scale)
         if key not in self._workloads:
@@ -334,7 +329,7 @@ class ExperimentContext:
         """
         if recorder is not None and recorder.enabled:
             recorder.counter("runner.recorded_runs")
-            workload = self.workload(workload_name, scale, recorder=recorder)
+            workload = self.workload(workload_name, scale)
             factory = policy_factory or POLICIES[policy_name]
             engine = SimulationEngine(
                 config if config is not None else self.config,

@@ -11,6 +11,7 @@ core primitive of the lookahead allocation family [6], [63].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,18 +23,23 @@ import numpy as np
 RECONFIG_GAIN_THRESHOLD = 0.03
 
 
+@lru_cache(maxsize=64)
 def geometric_capacities(lo: int, hi: int, points: int) -> np.ndarray:
     """Geometrically spaced capacities from ``lo`` to ``hi`` inclusive.
 
     Mirrors the paper's sampler spacing: 64 points from 32 kB to 256 MB
     gives a per-step multiplicative factor of 1.16 = (256M/32k)^(1/63).
+    Every sampled curve of a run shares one grid, so it is built once
+    per ``(lo, hi, points)`` and returned read-only.
     """
     if points < 2:
         raise ValueError(f"need at least 2 points, got {points}")
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got lo={lo} hi={hi}")
     caps = np.geomspace(lo, hi, points)
-    return np.unique(np.round(caps).astype(np.int64))
+    caps = np.unique(np.round(caps).astype(np.int64))
+    caps.flags.writeable = False
+    return caps
 
 
 @dataclass
@@ -102,7 +108,7 @@ class MissCurve:
         return MissCurve(self.capacities, self.misses * factor)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlopeSegment:
     """One candidate allocation step: spend ``size`` bytes, save ``gain`` misses."""
 
@@ -123,14 +129,47 @@ class SlopeSegment:
 
 @dataclass
 class LookaheadState:
-    """Tracks per-stream allocated capacity during lookahead allocation."""
+    """Tracks per-stream allocated capacity during lookahead allocation.
+
+    Each stream's steepest segment depends only on its curve and its own
+    allocation, and only :meth:`commit` changes an allocation, so a
+    stream's best ``(segment, slope)`` is computed once and reused until
+    a commit to that stream drops it.  Each grant then rescans one curve
+    instead of all of them.
+    """
 
     curves: dict[int, MissCurve]
     allocated: dict[int, int] = field(default_factory=dict)
+    _best: dict[int, tuple[SlopeSegment | None, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for sid in self.curves:
             self.allocated.setdefault(sid, 0)
+
+    def _steepest_of(self, sid: int) -> tuple[SlopeSegment | None, float]:
+        """Stream ``sid``'s steepest segment from its current allocation
+        and that segment's slope; ``(None, -inf)`` when it saves nothing."""
+        curve = self.curves[sid]
+        current = self.allocated[sid]
+        current_misses = curve.misses_at(current)
+        # Consider extending to each measured capacity beyond current.
+        # One vector pass per curve: candidate slopes for every measured
+        # point past the allocation, first-max selection (argmax)
+        # matching the strict > of the scalar loop it replaced, so ties
+        # keep resolving to the earliest capacity.
+        caps = curve.capacities
+        gains = current_misses - curve.misses
+        candidate = (caps > current) & (gains > 0)
+        if not candidate.any():
+            return None, -np.inf
+        cand_caps = caps[candidate]
+        cand_gains = gains[candidate]
+        slopes = cand_gains / (cand_caps - current).astype(np.float64)
+        j = int(np.argmax(slopes))
+        segment = SlopeSegment(sid, current, int(cand_caps[j]), float(cand_gains[j]))
+        return segment, float(slopes[j])
 
     def next_steepest_segment(
         self, exclude: set[int] | None = None
@@ -140,36 +179,24 @@ class LookaheadState:
         stream's current allocation.  Returns None when no stream can save
         any further misses.  Streams in ``exclude`` are skipped (the
         configurator uses this for streams that can no longer get space).
+        Streams are visited in ``curves`` order and the strict ``>`` keeps
+        the first of equal slopes.
         """
         best: SlopeSegment | None = None
         best_slope = -np.inf
-        for sid, curve in self.curves.items():
+        for sid in self.curves:
             if exclude and sid in exclude:
                 continue
-            current = self.allocated[sid]
-            current_misses = curve.misses_at(current)
-            # Consider extending to each measured capacity beyond current.
-            # One vector pass per curve: candidate slopes for every
-            # measured point past the allocation, first-max selection
-            # (argmax) matching the strict > of the scalar loop it
-            # replaced, so ties keep resolving to the earliest capacity.
-            caps = curve.capacities
-            gains = current_misses - curve.misses
-            candidate = (caps > current) & (gains > 0)
-            if not candidate.any():
-                continue
-            cand_caps = caps[candidate]
-            cand_gains = gains[candidate]
-            slopes = cand_gains / (cand_caps - current).astype(np.float64)
-            j = int(np.argmax(slopes))
-            if float(slopes[j]) > best_slope:
-                best = SlopeSegment(
-                    sid, current, int(cand_caps[j]), float(cand_gains[j])
-                )
-                best_slope = float(slopes[j])
+            entry = self._best.get(sid)
+            if entry is None:
+                entry = self._best[sid] = self._steepest_of(sid)
+            segment, slope = entry
+            if slope > best_slope:
+                best, best_slope = segment, slope
         return best
 
     def commit(self, segment: SlopeSegment) -> None:
         if segment.start_capacity != self.allocated[segment.stream_id]:
             raise ValueError("segment does not extend the current allocation")
         self.allocated[segment.stream_id] = segment.end_capacity
+        self._best.pop(segment.stream_id, None)

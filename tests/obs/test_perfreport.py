@@ -212,6 +212,15 @@ class TestBottleneckReport:
         assert prof["peak_rss_mb"] > 0
         assert f"peak RSS {prof['peak_rss_mb']:.1f} MB" in render_bottleneck(prof)
 
+    def test_report_names_configure_and_sampler(self, traced_run):
+        tracer, _ = traced_run
+        prof = bottleneck_report(tracer)
+        # The configuration solve and the miss-curve sampler are phases
+        # of their own inside the policy, so coverage is unchanged.
+        assert prof["top_phases"]["policy.configure"]["calls"] > 0
+        assert prof["top_phases"]["policy.sampler"]["calls"] > 0
+        assert prof["coverage"] == pytest.approx(1.0)
+
     def test_report_without_accesses_has_no_attribution(self, traced_run):
         tracer, _ = traced_run
         prof = bottleneck_report(tracer)

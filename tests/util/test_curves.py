@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.common import PartitionedNucaPolicy
 from repro.util.curves import (
     LookaheadState,
     MissCurve,
@@ -233,3 +234,89 @@ class TestLookaheadVectorizedEquivalence:
         got = state.next_steepest_segment(exclude=exclude)
         want = self._reference(state, exclude=exclude)
         assert got == want
+
+
+def _fresh_scan(curves, allocated, exclude=None):
+    """``next_steepest_segment`` of a newly built state: no cached entry."""
+    return LookaheadState(curves, allocated=dict(allocated)).next_steepest_segment(
+        exclude=exclude
+    )
+
+
+def _fresh_scan_sizes(curves, budget_bytes):
+    """``lookahead_sizes`` with every grant taken from a fresh scan."""
+    monotone = {p: c.monotone() for p, c in curves.items()}
+    allocated = {p: 0 for p in monotone}
+    spent = 0
+    while spent < budget_bytes:
+        segment = _fresh_scan(monotone, allocated)
+        if segment is None or spent + segment.size > budget_bytes:
+            break
+        allocated[segment.stream_id] = segment.end_capacity
+        spent += segment.size
+    return allocated
+
+
+# Capacity grids the curves are drawn on: a shared uniform grid (equal
+# spacing across streams makes equal-gain steps tie exactly), the
+# sampler's geometric grid anchored at 1, and an irregular one.
+_GRIDS = (
+    np.arange(1, 9) * 64,
+    np.concatenate(([1], geometric_capacities(32, 4096, 8))),
+    np.array([3, 10, 11, 40, 41, 200, 640]),
+)
+
+
+@st.composite
+def _curves(draw):
+    curves = {}
+    for sid in range(draw(st.integers(min_value=1, max_value=5))):
+        caps = _GRIDS[draw(st.integers(min_value=0, max_value=len(_GRIDS) - 1))]
+        # Few distinct miss levels: plateaus and equal steps, so slope
+        # ties within and across streams are common.
+        misses = draw(
+            st.lists(
+                st.sampled_from([0.0, 8.0, 16.0, 24.0, 64.0]),
+                min_size=len(caps),
+                max_size=len(caps),
+            )
+        )
+        curves[sid] = MissCurve(caps, np.array(sorted(misses, reverse=True)))
+    return curves
+
+
+class TestLookaheadCacheEqualsFreshScan:
+    """Reusing each stream's cached steepest segment must pick exactly
+    the segment a scan of every curve from the same allocation picks."""
+
+    @given(curves=_curves(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_every_grant_matches_a_fresh_scan(self, curves, data):
+        state = LookaheadState(curves)
+        exhausted: set[int] = set()
+        for _ in range(40):
+            exclude = exhausted | set(
+                data.draw(st.sets(st.sampled_from(sorted(curves)), max_size=2))
+            )
+            got = state.next_steepest_segment(exclude=exclude)
+            # Segments compare by stream, start, end and gain, exactly.
+            assert got == _fresh_scan(curves, state.allocated, exclude)
+            if got is None:
+                if not exclude:
+                    break
+                continue
+            # The configurator either commits a grant or gives the
+            # stream up for good when its space runs out.
+            if data.draw(st.booleans()) or len(exhausted) + 1 >= len(curves):
+                state.commit(got)
+            else:
+                exhausted.add(got.stream_id)
+
+    @given(
+        curves=_curves(),
+        budget_bytes=st.integers(min_value=0, max_value=4 * 640),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_lookahead_sizes_match_a_fresh_scan(self, curves, budget_bytes):
+        sizes = PartitionedNucaPolicy().lookahead_sizes(curves, budget_bytes)
+        assert sizes == _fresh_scan_sizes(curves, budget_bytes)
